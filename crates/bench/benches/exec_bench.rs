@@ -10,9 +10,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use expred_bench::BenchReport;
-use expred_core::execute::execute_plan_with;
+use expred_core::execute::execute_plan_ctx;
 use expred_core::plan::Plan;
-use expred_exec::{Executor, Parallel, Sequential};
+use expred_exec::{ExecContext, Executor, Parallel, Sequential};
 use expred_stats::rng::Prng;
 use expred_table::datasets::{Dataset, DatasetSpec, LABEL_COLUMN, PROSPER};
 use expred_udf::{OracleUdf, SlowUdf, UdfInvoker};
@@ -81,12 +81,12 @@ fn bench_execute_plan_backends(c: &mut Criterion) {
                 seed += 1;
                 let invoker = UdfInvoker::new(&udf, &ds.table);
                 let mut rng = Prng::seeded(seed);
-                black_box(execute_plan_with(
+                black_box(execute_plan_ctx(
                     &plan,
                     &groups,
                     &invoker,
                     &mut rng,
-                    backend.as_ref(),
+                    &ExecContext::new(backend.as_ref()),
                 ))
             })
         });

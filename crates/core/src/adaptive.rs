@@ -17,7 +17,7 @@ use crate::pipeline::{session_group_by, RunOutcome};
 use crate::plan::Plan;
 use crate::query::QuerySpec;
 use crate::sampling::{adaptive_num_search_ctx, sample_groups_ctx, SampleSizeRule};
-use expred_exec::{ExecContext, Executor};
+use expred_exec::ExecContext;
 use expred_ml::metrics::precision_recall;
 use expred_stats::rng::Prng;
 use expred_table::datasets::{Dataset, LABEL_COLUMN};
@@ -33,18 +33,6 @@ pub fn run_intel_sample_adaptive(
     seed: u64,
 ) -> RunOutcome {
     run_intel_sample_adaptive_ctx(ds, spec, corr, predictor, seed, &ExecContext::sequential())
-}
-
-/// [`run_intel_sample_adaptive`], probing through `executor`.
-pub fn run_intel_sample_adaptive_with(
-    ds: &Dataset,
-    spec: &QuerySpec,
-    corr: CorrelationModel,
-    predictor: &str,
-    seed: u64,
-    executor: &dyn Executor,
-) -> RunOutcome {
-    run_intel_sample_adaptive_ctx(ds, spec, corr, predictor, seed, &ExecContext::new(executor))
 }
 
 /// [`run_intel_sample_adaptive`] under an execution context.
@@ -111,30 +99,6 @@ pub fn run_intel_sample_iterative(
         rounds,
         seed,
         &ExecContext::sequential(),
-    )
-}
-
-/// [`run_intel_sample_iterative`], probing through `executor`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_intel_sample_iterative_with(
-    ds: &Dataset,
-    spec: &QuerySpec,
-    corr: CorrelationModel,
-    predictor: &str,
-    initial_rule: SampleSizeRule,
-    rounds: usize,
-    seed: u64,
-    executor: &dyn Executor,
-) -> RunOutcome {
-    run_intel_sample_iterative_ctx(
-        ds,
-        spec,
-        corr,
-        predictor,
-        initial_rule,
-        rounds,
-        seed,
-        &ExecContext::new(executor),
     )
 }
 

@@ -14,7 +14,7 @@
 use crate::optimize::solve_perfect_selectivities;
 use crate::pipeline::session_group_by;
 use crate::query::QuerySpec;
-use expred_exec::{ExecContext, Executor};
+use expred_exec::ExecContext;
 use expred_ml::features::{extract_features_cached, FeatureSpec};
 use expred_ml::logistic::{train, TrainConfig};
 use expred_stats::estimator::SelectivityEstimate;
@@ -58,28 +58,6 @@ pub fn rank_columns(
         label_fraction,
         rng,
         &ExecContext::sequential(),
-    )
-}
-
-/// [`rank_columns`], labelling each round's sample as one executor batch.
-#[allow(clippy::too_many_arguments)]
-pub fn rank_columns_with(
-    table: &Table,
-    candidates: &[String],
-    invoker: &UdfInvoker<'_>,
-    spec: &QuerySpec,
-    label_fraction: f64,
-    rng: &mut Prng,
-    executor: &dyn Executor,
-) -> (Vec<ColumnScore>, Vec<u32>) {
-    rank_columns_ctx(
-        table,
-        candidates,
-        invoker,
-        spec,
-        label_fraction,
-        rng,
-        &ExecContext::new(executor),
     )
 }
 

@@ -40,18 +40,6 @@ pub fn execute_plan(
     execute_plan_ctx(plan, groups, invoker, rng, &ExecContext::sequential())
 }
 
-/// Executes `plan` over `groups`, routing UDF probes through `executor`
-/// with the default in-flight budget.
-pub fn execute_plan_with(
-    plan: &Plan,
-    groups: &GroupBy,
-    invoker: &UdfInvoker<'_>,
-    rng: &mut Prng,
-    executor: &dyn Executor,
-) -> ExecutionResult {
-    execute_plan_ctx(plan, groups, invoker, rng, &ExecContext::new(executor))
-}
-
 /// Executes `plan` over `groups` under an execution context: probes run
 /// through `ctx.executor` in batches bounded by `ctx.max_in_flight`.
 /// Cross-query caching is the invoker's concern — build it with

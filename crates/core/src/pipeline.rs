@@ -17,7 +17,7 @@ use crate::optimize::{solve_estimated, solve_perfect_selectivities, CorrelationM
 use crate::plan::Plan;
 use crate::query::QuerySpec;
 use crate::sampling::{sample_groups_ctx, SampleSizeRule};
-use expred_exec::{ExecContext, Executor};
+use expred_exec::ExecContext;
 use expred_ml::metrics::{precision_recall, PrSummary};
 use expred_stats::rng::Prng;
 use expred_table::datasets::{Dataset, LABEL_COLUMN};
@@ -129,17 +129,6 @@ pub fn run_intel_sample(ds: &Dataset, cfg: &IntelSampleConfig, seed: u64) -> Run
     run_intel_sample_ctx(ds, cfg, seed, &ExecContext::sequential())
 }
 
-/// Runs Intel-Sample with every UDF probe (predictor labelling, sampling,
-/// execution) routed through `executor`.
-pub fn run_intel_sample_with(
-    ds: &Dataset,
-    cfg: &IntelSampleConfig,
-    seed: u64,
-    executor: &dyn Executor,
-) -> RunOutcome {
-    run_intel_sample_ctx(ds, cfg, seed, &ExecContext::new(executor))
-}
-
 /// Runs Intel-Sample under an execution context.
 ///
 /// For a fixed seed the outcome is byte-identical across backends: all
@@ -235,17 +224,6 @@ pub fn run_optimal(ds: &Dataset, spec: &QuerySpec, predictor: &str, seed: u64) -
     run_optimal_ctx(ds, spec, predictor, seed, &ExecContext::sequential())
 }
 
-/// [`run_optimal`], executing its plan through `executor`.
-pub fn run_optimal_with(
-    ds: &Dataset,
-    spec: &QuerySpec,
-    predictor: &str,
-    seed: u64,
-    executor: &dyn Executor,
-) -> RunOutcome {
-    run_optimal_ctx(ds, spec, predictor, seed, &ExecContext::new(executor))
-}
-
 /// [`run_optimal`] under an execution context.
 pub fn run_optimal_ctx(
     ds: &Dataset,
@@ -293,16 +271,6 @@ pub fn run_optimal_ctx(
 /// and evaluate every retrieved tuple (§6.2).
 pub fn run_naive(ds: &Dataset, spec: &QuerySpec, seed: u64) -> RunOutcome {
     run_naive_ctx(ds, spec, seed, &ExecContext::sequential())
-}
-
-/// [`run_naive`], evaluating its β-fraction as executor batches.
-pub fn run_naive_with(
-    ds: &Dataset,
-    spec: &QuerySpec,
-    seed: u64,
-    executor: &dyn Executor,
-) -> RunOutcome {
-    run_naive_ctx(ds, spec, seed, &ExecContext::new(executor))
 }
 
 /// [`run_naive`] under an execution context.

@@ -14,7 +14,7 @@
 
 use crate::optimize::{solve_estimated, CorrelationModel, EstimatedGroup};
 use crate::query::QuerySpec;
-use expred_exec::{ExecContext, Executor};
+use expred_exec::ExecContext;
 use expred_stats::estimator::SelectivityEstimate;
 use expred_stats::rng::Prng;
 use expred_table::GroupBy;
@@ -87,18 +87,6 @@ pub fn sample_groups(
     rng: &mut Prng,
 ) -> GroupSample {
     sample_groups_ctx(groups, invoker, rule, rng, &ExecContext::sequential())
-}
-
-/// [`sample_groups`], with each group's shortfall evaluated as one batch
-/// through `executor`.
-pub fn sample_groups_with(
-    groups: &GroupBy,
-    invoker: &UdfInvoker<'_>,
-    rule: SampleSizeRule,
-    rng: &mut Prng,
-    executor: &dyn Executor,
-) -> GroupSample {
-    sample_groups_ctx(groups, invoker, rule, rng, &ExecContext::new(executor))
 }
 
 /// [`sample_groups`] under an execution context.
@@ -184,25 +172,6 @@ pub fn adaptive_num_search(
     rng: &mut Prng,
 ) -> AdaptiveOutcome {
     adaptive_num_search_ctx(groups, invoker, spec, corr, rng, &ExecContext::sequential())
-}
-
-/// [`adaptive_num_search`], sampling each round through `executor`.
-pub fn adaptive_num_search_with(
-    groups: &GroupBy,
-    invoker: &UdfInvoker<'_>,
-    spec: &QuerySpec,
-    corr: CorrelationModel,
-    rng: &mut Prng,
-    executor: &dyn Executor,
-) -> AdaptiveOutcome {
-    adaptive_num_search_ctx(
-        groups,
-        invoker,
-        spec,
-        corr,
-        rng,
-        &ExecContext::new(executor),
-    )
 }
 
 /// [`adaptive_num_search`] under an execution context.

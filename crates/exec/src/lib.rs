@@ -3,9 +3,10 @@
 //! The paper's premise is that UDF evaluation dominates query cost; this
 //! crate makes sure the system spends that cost as the hardware allows
 //! instead of one blocking call at a time. It is deliberately foundational
-//! (no dependency on the table/UDF crates), so every layer above — the
-//! audited invoker, the probabilistic executor, the pipelines — can route
-//! probes through it:
+//! (no dependency on the UDF crate; from the table crate it borrows only
+//! the session's `DerivedCache`), so every layer above — the audited
+//! invoker, the probabilistic executor, the pipelines — can route probes
+//! through it:
 //!
 //! * [`executor`] — the [`Executor`] trait ([`Executor::evaluate_batch`])
 //!   with the [`Sequential`] backend that preserves one-at-a-time
@@ -26,8 +27,10 @@
 //!   workers sharing one result cache do not serialize on a single lock;
 //! * [`store`] — [`CacheStore`], the generalization of the memo to a
 //!   long-lived, capacity-bounded, `(udf, table, version)`-namespaced
-//!   cache that outlives individual queries; invokers borrow
-//!   [`CacheHandle`]s from it instead of owning their memo;
+//!   cache that outlives individual queries; each namespace is one
+//!   [`expred_stats::ClockCache`] (the workspace's one second-chance
+//!   cache), and invokers borrow [`CacheHandle`]s from it instead of
+//!   owning their memo;
 //! * [`selectivity`] — [`SelectivityTracker`], the session's observed
 //!   per-namespace pass rates: invokers feed it with every fresh answer,
 //!   and the expression optimizer ranks `AND`/`OR` siblings by it;

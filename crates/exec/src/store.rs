@@ -7,7 +7,8 @@
 //! simply returned as part of the query result without re-evaluating" —
 //! and nothing about that observation stops at a query boundary. The
 //! store namespaces entries by `(udf, table, table version)`, bounds its
-//! memory with sharded second-chance (CLOCK) eviction, and reports
+//! memory with the workspace's sharded second-chance (CLOCK) cache,
+//! [`expred_stats::ClockCache`] (one per namespace), and reports
 //! hit/miss/eviction/invalidation statistics.
 //!
 //! # Keying and invalidation
@@ -31,8 +32,9 @@
 //! must layer a per-query memo in front (the invoker does exactly that)
 //! and treat the store as a best-effort accelerator.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use expred_stats::{ClockCache, ClockCounters};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
@@ -118,54 +120,38 @@ impl CacheStats {
     }
 }
 
+/// The store-wide counters: the lookup/insert/eviction block every
+/// namespace's [`ClockCache`] reports into, plus the namespace-level
+/// drops only the store sees. Shared by `Arc`, so the totals survive
+/// namespace removal.
 #[derive(Debug, Default)]
-struct AtomicStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
+struct StoreCounters {
+    clock: Arc<ClockCounters>,
     invalidated: AtomicU64,
     ttl_expirations: AtomicU64,
 }
 
-impl AtomicStats {
+impl StoreCounters {
     fn snapshot(&self) -> CacheStats {
+        let clock = self.clock.snapshot();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            hits: clock.hits,
+            misses: clock.misses,
+            insertions: clock.insertions,
+            evictions: clock.evictions,
             invalidated: self.invalidated.load(Ordering::Relaxed),
             ttl_expirations: self.ttl_expirations.load(Ordering::Relaxed),
         }
     }
 }
 
-/// One cached answer plus its CLOCK referenced bit. The bit is atomic so
-/// a hit can mark it under a *shared* read lock — lookups never exclude
-/// other readers.
-#[derive(Debug)]
-struct CacheEntry {
-    answer: bool,
-    referenced: AtomicBool,
-}
-
-/// One lock-striped shard: entries plus the CLOCK ring over their keys.
-#[derive(Debug, Default)]
-struct Shard {
-    map: HashMap<usize, CacheEntry>,
-    /// Insertion ring the CLOCK hand walks for eviction.
-    ring: VecDeque<usize>,
-}
-
-/// The entries of one namespace, striped like `ShardedMemo`.
+/// The entries of one namespace: a [`ClockCache`] keyed by row with no
+/// separate identity (the row *is* the key), so an entry is just
+/// `(row, answer, referenced bit)`.
 #[derive(Debug)]
 struct NamespaceCache {
     namespace: CacheNamespace,
-    shards: Box<[RwLock<Shard>]>,
-    mask: usize,
-    shard_capacity: usize,
-    stats: Arc<AtomicStats>,
+    rows: ClockCache<(), bool>,
     /// The store's durable sink slot (shared, so late wiring applies to
     /// every namespace); the slot holds `None` on stores without
     /// persistence.
@@ -177,195 +163,28 @@ struct NamespaceCache {
 }
 
 impl NamespaceCache {
-    fn new(
-        namespace: CacheNamespace,
-        shard_capacity: usize,
-        stats: Arc<AtomicStats>,
-        spill: SharedSink,
-        born: Instant,
-    ) -> Self {
-        let shards: Vec<RwLock<Shard>> = (0..NAMESPACE_SHARDS)
-            .map(|_| RwLock::new(Shard::default()))
-            .collect();
-        Self {
-            namespace,
-            shards: shards.into_boxed_slice(),
-            mask: NAMESPACE_SHARDS - 1,
-            shard_capacity,
-            stats,
-            spill,
-            born,
-        }
-    }
-
     /// Whether this namespace has outlived `ttl`.
     fn expired(&self, ttl: Duration) -> bool {
         self.born.elapsed() > ttl
     }
 
-    /// Fibonacci-spreads `key` onto a shard index — the single source of
-    /// truth for key placement (`get`, `get_many`, and `insert` must all
-    /// agree, or batched lookups would probe the wrong shard).
-    fn shard_index(&self, key: usize) -> usize {
-        let spread = (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        (spread as usize) & self.mask
-    }
-
-    fn shard(&self, key: usize) -> &RwLock<Shard> {
-        &self.shards[self.shard_index(key)]
-    }
-
-    fn get(&self, key: usize) -> Option<bool> {
-        let guard = self.shard(key).read().unwrap_or_else(|e| e.into_inner());
-        match guard.map.get(&key) {
-            Some(entry) => {
-                entry.referenced.store(true, Ordering::Relaxed);
-                let answer = entry.answer;
-                drop(guard);
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                Some(answer)
-            }
-            None => {
-                drop(guard);
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Batched lookup: one read-lock acquisition per *touched shard*
-    /// instead of one per key. Accounting is identical to `keys.len()`
-    /// individual `get`s (one hit or miss each).
-    fn get_many(&self, keys: &[usize], out: &mut [Option<bool>]) {
-        debug_assert_eq!(keys.len(), out.len());
-        // Group key positions by shard so each lock is taken once. A
-        // shard index per key is cheap; the win is dropping per-key lock
-        // traffic on the batch path.
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (position, &key) in keys.iter().enumerate() {
-            by_shard[self.shard_index(key)].push(position);
-        }
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        for (shard, positions) in self.shards.iter().zip(&by_shard) {
-            if positions.is_empty() {
-                continue;
-            }
-            let guard = shard.read().unwrap_or_else(|e| e.into_inner());
-            for &position in positions {
-                match guard.map.get(&keys[position]) {
-                    Some(entry) => {
-                        entry.referenced.store(true, Ordering::Relaxed);
-                        out[position] = Some(entry.answer);
-                        hits += 1;
-                    }
-                    None => {
-                        out[position] = None;
-                        misses += 1;
-                    }
-                }
-            }
-        }
-        if hits > 0 {
-            self.stats.hits.fetch_add(hits, Ordering::Relaxed);
-        }
-        if misses > 0 {
-            self.stats.misses.fetch_add(misses, Ordering::Relaxed);
-        }
-    }
-
     fn insert(&self, key: usize, value: bool) {
-        self.insert_inner(key, value, true);
-    }
-
-    /// Insert without touching the spill sink at all — the prefill path.
-    /// The inserted entries came *from* the sink, and anything this
-    /// insert evicts is either another prefilled (already durable) entry
-    /// or a live entry the sink heard at its own insert, so there is
-    /// nothing to tell it. Staying sink-silent is also what lets a
-    /// caller prefill while holding locks the sink would re-take (the
-    /// rehydration path holds its table registry's write lock).
-    fn insert_silent(&self, key: usize, value: bool) {
-        self.insert_inner(key, value, false);
-    }
-
-    fn insert_inner(&self, key: usize, value: bool, offer: bool) {
         // Evicted entries are re-offered to the sink after the shard
         // guard drops: for a persistent sink the re-offer is a
         // deduplicated no-op (first write wins), but it guarantees no
         // answer leaves memory without the sink having heard of it.
-        // (Silent inserts skip the sink entirely — see `insert_silent`.)
-        let mut evicted: Vec<(usize, bool)> = Vec::new();
-        {
-            let mut guard = self.shard(key).write().unwrap_or_else(|e| e.into_inner());
-            let shard = &mut *guard;
-            if let Some(entry) = shard.map.get_mut(&key) {
-                // Refresh in place; the ring entry stays where it is.
-                entry.answer = value;
-                entry.referenced.store(true, Ordering::Relaxed);
-            } else {
-                // Second-chance sweep: referenced entries get one more
-                // lap, unreferenced ones go. Bounded by ring length + 1
-                // because every pass-over clears a referenced bit.
-                while shard.map.len() >= self.shard_capacity {
-                    let Some(candidate) = shard.ring.pop_front() else {
-                        break;
-                    };
-                    match shard.map.get(&candidate) {
-                        Some(entry) if entry.referenced.load(Ordering::Relaxed) => {
-                            entry.referenced.store(false, Ordering::Relaxed);
-                            shard.ring.push_back(candidate);
-                        }
-                        Some(_) => {
-                            if let Some(entry) = shard.map.remove(&candidate) {
-                                evicted.push((candidate, entry.answer));
-                            }
-                        }
-                        None => {}
-                    }
-                }
-                shard.map.insert(
-                    key,
-                    CacheEntry {
-                        answer: value,
-                        referenced: AtomicBool::new(false),
-                    },
-                );
-                shard.ring.push_back(key);
-            }
-        }
-        self.stats.insertions.fetch_add(1, Ordering::Relaxed);
-        if !evicted.is_empty() {
-            self.stats
-                .evictions
-                .fetch_add(evicted.len() as u64, Ordering::Relaxed);
-        }
-        if offer {
-            let sink = self.spill.read().unwrap_or_else(|e| e.into_inner()).clone();
-            if let Some(sink) = sink {
-                sink.spill(self.namespace, key, value);
-                for (row, answer) in evicted {
-                    sink.spill(self.namespace, row, answer);
-                }
-            }
-        }
-    }
-
-    /// Visits every live entry (per-shard read locks, no global freeze).
-    fn for_each(&self, f: &mut dyn FnMut(usize, bool)) {
-        for shard in self.shards.iter() {
-            let guard = shard.read().unwrap_or_else(|e| e.into_inner());
-            for (&key, entry) in guard.map.iter() {
-                f(key, entry.answer);
+        let evicted = self.rows.insert(key as u64, (), value);
+        let sink = self.spill.read().unwrap_or_else(|e| e.into_inner()).clone();
+        if let Some(sink) = sink {
+            sink.spill(self.namespace, key, value);
+            for (row, (), answer) in evicted {
+                sink.spill(self.namespace, row as usize, answer);
             }
         }
     }
 
     fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(|e| e.into_inner()).map.len())
-            .sum()
+        self.rows.len()
     }
 }
 
@@ -389,7 +208,7 @@ impl CacheHandle {
 
     /// The cached answer for `key`, if present (counts a hit or miss).
     pub fn get(&self, key: usize) -> Option<bool> {
-        self.cache.get(key)
+        self.cache.rows.get(key as u64, &())
     }
 
     /// Batched lookup for the invoker's batch path: answers for every
@@ -397,11 +216,9 @@ impl CacheHandle {
     /// instead of once per key. Hit/miss accounting is exactly what the
     /// equivalent sequence of [`CacheHandle::get`] calls would record.
     pub fn get_many(&self, keys: &[usize]) -> Vec<Option<bool>> {
-        let mut out = vec![None; keys.len()];
-        if !keys.is_empty() {
-            self.cache.get_many(keys, &mut out);
-        }
-        out
+        self.cache
+            .rows
+            .get_many(keys.iter().map(|&key| (key as u64, &())))
     }
 
     /// Caches `value` for `key`, possibly evicting under the capacity
@@ -467,13 +284,47 @@ impl Namespaces {
         }
         old.len() as u64
     }
+
+    /// Marks `namespace` as the most recently seen version of its
+    /// `(udf, table)` pair — creating its cache with `make` if it is new —
+    /// and drops the versions this pushes past [`MAX_LIVE_VERSIONS`].
+    /// Returns the cache and the number of entries dropped.
+    fn touch(
+        &mut self,
+        namespace: CacheNamespace,
+        make: impl FnOnce() -> NamespaceCache,
+    ) -> (Arc<NamespaceCache>, u64) {
+        let versions = self
+            .recency
+            .entry((namespace.udf, namespace.table))
+            .or_default();
+        versions.retain(|&v| v != namespace.version);
+        versions.push(namespace.version);
+        let excess = versions.len().saturating_sub(MAX_LIVE_VERSIONS);
+        let stale: Vec<u64> = versions.drain(..excess).collect();
+        let dropped = stale
+            .into_iter()
+            .map(|version| {
+                self.remove(&CacheNamespace {
+                    version,
+                    ..namespace
+                })
+            })
+            .sum();
+        let cache = self
+            .map
+            .entry(namespace)
+            .or_insert_with(|| Arc::new(make()))
+            .clone();
+        (cache, dropped)
+    }
 }
 
 #[derive(Debug)]
 struct StoreInner {
     namespaces: RwLock<Namespaces>,
     shard_capacity: usize,
-    stats: Arc<AtomicStats>,
+    stats: StoreCounters,
     /// The durable sink slot shared with every namespace (see
     /// [`SharedSink`]); empty unless persistence is wired.
     spill: SharedSink,
@@ -495,7 +346,7 @@ impl CacheStore {
             inner: Arc::new(StoreInner {
                 namespaces: RwLock::new(Namespaces::default()),
                 shard_capacity,
-                stats: Arc::new(AtomicStats::default()),
+                stats: StoreCounters::default(),
                 spill: Arc::new(RwLock::new(None)),
                 ttl_nanos: AtomicU64::new(0),
             }),
@@ -546,14 +397,27 @@ impl CacheStore {
         *self.inner.spill.write().unwrap_or_else(|e| e.into_inner()) = sink;
     }
 
-    fn make_cache(&self, namespace: CacheNamespace, born: Instant) -> Arc<NamespaceCache> {
-        Arc::new(NamespaceCache::new(
+    fn make_cache(&self, namespace: CacheNamespace, born: Instant) -> NamespaceCache {
+        NamespaceCache {
             namespace,
-            self.inner.shard_capacity,
-            Arc::clone(&self.inner.stats),
-            Arc::clone(&self.inner.spill),
+            rows: ClockCache::with_counters(
+                NAMESPACE_SHARDS,
+                self.inner.shard_capacity,
+                Arc::clone(&self.inner.stats.clock),
+            ),
+            spill: Arc::clone(&self.inner.spill),
             born,
-        ))
+        }
+    }
+
+    /// Counts `dropped` entries as invalidated.
+    fn note_invalidated(&self, dropped: u64) {
+        if dropped > 0 {
+            self.inner
+                .stats
+                .invalidated
+                .fetch_add(dropped, Ordering::Relaxed);
+        }
     }
 
     /// Borrows the cache for `namespace`, creating it on first use.
@@ -617,32 +481,9 @@ impl CacheStore {
                 }
             }
         }
-        let pair = (namespace.udf, namespace.table);
-        let stale_versions: Vec<u64> = {
-            let versions = guard.recency.entry(pair).or_default();
-            versions.retain(|&v| v != namespace.version);
-            versions.push(namespace.version);
-            let excess = versions.len().saturating_sub(MAX_LIVE_VERSIONS);
-            versions.drain(..excess).collect()
-        };
-        let mut invalidated = 0u64;
-        for version in stale_versions {
-            invalidated += guard.remove(&CacheNamespace {
-                version,
-                ..namespace
-            });
-        }
-        if invalidated > 0 {
-            self.inner
-                .stats
-                .invalidated
-                .fetch_add(invalidated, Ordering::Relaxed);
-        }
-        let cache = guard
-            .map
-            .entry(namespace)
-            .or_insert_with(|| self.make_cache(namespace, Instant::now()))
-            .clone();
+        let (cache, dropped) =
+            guard.touch(namespace, || self.make_cache(namespace, Instant::now()));
+        self.note_invalidated(dropped);
         CacheHandle { namespace, cache }
     }
 
@@ -681,35 +522,18 @@ impl CacheStore {
                 .unwrap_or_else(|e| e.into_inner());
             // Same recency maintenance as a borrow: a prefilled version
             // counts as "recently seen" and may push an old one out.
-            let pair = (namespace.udf, namespace.table);
-            let stale_versions: Vec<u64> = {
-                let versions = guard.recency.entry(pair).or_default();
-                versions.retain(|&v| v != namespace.version);
-                versions.push(namespace.version);
-                let excess = versions.len().saturating_sub(MAX_LIVE_VERSIONS);
-                versions.drain(..excess).collect()
-            };
-            let mut invalidated = 0u64;
-            for version in stale_versions {
-                invalidated += guard.remove(&CacheNamespace {
-                    version,
-                    ..namespace
-                });
-            }
-            if invalidated > 0 {
-                self.inner
-                    .stats
-                    .invalidated
-                    .fetch_add(invalidated, Ordering::Relaxed);
-            }
-            guard
-                .map
-                .entry(namespace)
-                .or_insert_with(|| self.make_cache(namespace, born))
-                .clone()
+            let (cache, dropped) = guard.touch(namespace, || self.make_cache(namespace, born));
+            self.note_invalidated(dropped);
+            cache
         };
+        // Straight into the rows, past the sink: the entries came *from*
+        // the sink, and anything they evict is either another prefilled
+        // (already durable) entry or a live one the sink heard at its own
+        // insert. Staying sink-silent is also what lets a caller prefill
+        // while holding locks the sink would re-take (the rehydration
+        // path holds its table registry's write lock).
         for &(row, answer) in rows {
-            cache.insert_silent(row, answer);
+            cache.rows.insert(row as u64, (), answer);
         }
         rows.len()
     }
@@ -729,7 +553,9 @@ impl CacheStore {
         };
         for cache in caches {
             let namespace = cache.namespace;
-            cache.for_each(&mut |row, answer| f(namespace, row, answer));
+            cache
+                .rows
+                .for_each(|row, (), &answer| f(namespace, row as usize, answer));
         }
     }
 
@@ -741,12 +567,7 @@ impl CacheStore {
             .write()
             .unwrap_or_else(|e| e.into_inner());
         let dropped = guard.remove(&namespace);
-        if dropped > 0 {
-            self.inner
-                .stats
-                .invalidated
-                .fetch_add(dropped, Ordering::Relaxed);
-        }
+        self.note_invalidated(dropped);
     }
 
     /// Drops every namespace belonging to `table` (any UDF, any version).
@@ -762,16 +583,8 @@ impl CacheStore {
             .filter(|ns| ns.table == table)
             .copied()
             .collect();
-        let mut invalidated = 0u64;
-        for ns in doomed {
-            invalidated += guard.remove(&ns);
-        }
-        if invalidated > 0 {
-            self.inner
-                .stats
-                .invalidated
-                .fetch_add(invalidated, Ordering::Relaxed);
-        }
+        let dropped = doomed.iter().map(|ns| guard.remove(ns)).sum();
+        self.note_invalidated(dropped);
     }
 
     /// Number of live namespaces.
@@ -814,10 +627,7 @@ impl CacheStore {
             .write()
             .unwrap_or_else(|e| e.into_inner());
         let entries: u64 = guard.map.values().map(|c| c.len() as u64).sum();
-        self.inner
-            .stats
-            .invalidated
-            .fetch_add(entries, Ordering::Relaxed);
+        self.note_invalidated(entries);
         guard.map.clear();
         guard.recency.clear();
     }

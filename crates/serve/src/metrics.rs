@@ -6,10 +6,10 @@
 //! counters are relaxed `fetch_add`s and the histograms are fixed arrays
 //! of atomic buckets — no locks, no allocation per observation. The
 //! renderers pull the engine-side counters ([`expred_core::EngineStats`],
-//! [`expred_exec::CacheStats`], [`expred_core::ResultMemoStats`]) per
-//! tenant through the same `fields()` → [`counters_to_text`] /
-//! [`counters_to_json`] funnel the bench artifacts use, so both exports
-//! agree on names.
+//! [`expred_exec::CacheStats`], the result memo's
+//! [`expred_stats::ClockStats`]) per tenant through the same `fields()` →
+//! [`counters_to_text`] / [`counters_to_json`] funnel the bench artifacts
+//! use, so both exports agree on names.
 
 use crate::gate::AdmissionGate;
 use crate::tenant::TenantRegistry;

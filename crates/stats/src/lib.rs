@@ -28,10 +28,13 @@
 //! * [`json`] — the workspace's one no-serde JSON parser/writer, shared
 //!   by the serving tier's request/response bodies, the `/metrics`
 //!   endpoint, and the `BENCH_<name>.json` perf artifacts.
+//! * [`clock`] — the workspace's one sharded second-chance (CLOCK)
+//!   cache, under the row, result and derived-data reuse tiers.
 
 pub mod beta;
 pub mod binomial;
 pub mod bounds;
+pub mod clock;
 pub mod descriptive;
 pub mod estimator;
 pub mod hash;
@@ -43,6 +46,7 @@ pub mod special;
 pub use beta::Beta;
 pub use binomial::Binomial;
 pub use bounds::{chebyshev_scale, hoeffding_threshold};
+pub use clock::{ClockCache, ClockCounters, ClockStats};
 pub use descriptive::{pearson, Accumulator};
 pub use estimator::SelectivityEstimate;
 pub use rng::Prng;

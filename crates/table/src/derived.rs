@@ -11,18 +11,20 @@
 //! entry simply stops being addressable, and diverged clones (same id,
 //! different versions) can never cross-serve.
 //!
-//! The cache is `&self`-safe for the concurrent engine: lookups and
-//! inserts take a single mutex, while the derivation itself runs outside
-//! the lock (racing identical derivations are benign — both compute the
-//! same deterministic value and one wins the insert). Capacity is
-//! bounded with the same second-chance (clock) policy the result memo
-//! uses: a hit marks the entry, the evictor skips marked entries once.
+//! The cache is `&self`-safe for the concurrent engine: it is one shard
+//! of the workspace's [`ClockCache`], so lookups and inserts take a
+//! single lock, while the derivation itself runs outside it (racing
+//! identical derivations are benign — both compute the same
+//! deterministic value and the first insert is kept). Capacity is bounded
+//! with the same second-chance (clock) policy as every other reuse tier:
+//! a hit marks the entry, the evictor skips marked entries once. Entries
+//! are keyed by an FNV hash of the key and verified against the full key.
 
 use crate::kernels::GroupCodes;
 use crate::table::{GroupBy, Table};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use expred_stats::hash::Fnv64;
+use expred_stats::ClockCache;
+use std::sync::Arc;
 
 /// Default number of derived entries a session retains. A session rarely
 /// touches more than a handful of `(table, column)` pairs at a time;
@@ -30,13 +32,13 @@ use std::sync::{Arc, Mutex};
 pub const DEFAULT_DERIVED_CAPACITY: usize = 128;
 
 /// What kind of derived artifact an entry holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DerivedKind {
     Groups,
     Codes,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq)]
 struct DerivedKey {
     table: u64,
     version: u64,
@@ -44,23 +46,21 @@ struct DerivedKey {
     kind: DerivedKind,
 }
 
+impl DerivedKey {
+    fn hash(&self) -> u64 {
+        let mut h = Fnv64::new();
+        h.write_u64(self.table);
+        h.write_u64(self.version);
+        h.write_str(&self.column);
+        h.write_u64(self.kind as u64);
+        h.finish()
+    }
+}
+
 #[derive(Debug, Clone)]
 enum DerivedValue {
     Groups(Arc<GroupBy>),
     Codes(Arc<GroupCodes>),
-}
-
-#[derive(Debug)]
-struct CachedEntry {
-    value: DerivedValue,
-    /// Second-chance bit: set on hit, cleared (then evicted) by the clock.
-    touched: bool,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    map: HashMap<DerivedKey, CachedEntry>,
-    clock: VecDeque<DerivedKey>,
 }
 
 /// Counter snapshot for observability (see [`DerivedCache::stats`]).
@@ -88,11 +88,7 @@ impl DerivedCacheStats {
 /// Capacity-bounded, thread-safe cache of derived per-column artifacts.
 #[derive(Debug)]
 pub struct DerivedCache {
-    inner: Mutex<Inner>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    entries: ClockCache<DerivedKey, DerivedValue>,
 }
 
 impl Default for DerivedCache {
@@ -112,22 +108,18 @@ impl DerivedCache {
     /// miss).
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            inner: Mutex::new(Inner::default()),
-            capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            entries: ClockCache::new(1, capacity),
         }
     }
 
     /// The configured entry bound.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.entries.capacity()
     }
 
     /// Entries currently retained.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("derived cache poisoned").map.len()
+        self.entries.len()
     }
 
     /// Whether the cache holds no entries.
@@ -138,18 +130,18 @@ impl DerivedCache {
     /// Hit/miss/eviction counters since construction (or the last
     /// counter-preserving [`clear`](Self::clear)).
     pub fn stats(&self) -> DerivedCacheStats {
+        let s = self.entries.stats();
         DerivedCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            hits: s.hits,
+            // A hash collision derives fresh, exactly like a miss.
+            misses: s.misses + s.collision_rejects,
+            evictions: s.evictions,
         }
     }
 
     /// Drops every entry (counters are preserved).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("derived cache poisoned");
-        inner.map.clear();
-        inner.clock.clear();
+        self.entries.clear();
     }
 
     /// The partition of `table` by `column`, served from the cache when
@@ -191,55 +183,12 @@ impl DerivedCache {
     }
 
     fn lookup(&self, key: &DerivedKey) -> Option<DerivedValue> {
-        let mut inner = self.inner.lock().expect("derived cache poisoned");
-        match inner.map.get_mut(key) {
-            Some(entry) => {
-                entry.touched = true;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.value.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.entries.get(key.hash(), key)
     }
 
     fn insert(&self, key: DerivedKey, value: DerivedValue) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut inner = self.inner.lock().expect("derived cache poisoned");
-        if inner.map.contains_key(&key) {
-            // A racing derivation beat us; keep the incumbent (equal
-            // content) and don't double-queue the key.
-            return;
-        }
-        // Second-chance eviction: recently hit entries get one more lap.
-        while inner.map.len() >= self.capacity {
-            let Some(victim) = inner.clock.pop_front() else {
-                break;
-            };
-            match inner.map.get_mut(&victim) {
-                Some(entry) if entry.touched => {
-                    entry.touched = false;
-                    inner.clock.push_back(victim);
-                }
-                Some(_) => {
-                    inner.map.remove(&victim);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => {}
-            }
-        }
-        inner.clock.push_back(key.clone());
-        inner.map.insert(
-            key,
-            CachedEntry {
-                value,
-                touched: false,
-            },
-        );
+        // A racing derivation that beat us stays: equal content.
+        self.entries.insert_new(key.hash(), key, value);
     }
 }
 

@@ -15,9 +15,10 @@
 
 use expred::cli::ExampleCli;
 use expred::core::{
-    execute_plan_with, sample_groups_with, solve_estimated, truth_vector, CorrelationModel,
+    execute_plan_ctx, sample_groups_ctx, solve_estimated, truth_vector, CorrelationModel,
     QuerySpec, SampleSizeRule,
 };
+use expred::exec::ExecContext;
 use expred::ml::metrics::precision_recall;
 use expred::stats::Prng;
 use expred::table::{DataType, Field, Schema, Table, Value};
@@ -31,6 +32,7 @@ fn main() {
     .parse_backend();
     println!("{}", backend.banner());
     let executor = backend.executor();
+    let ctx = ExecContext::new(executor.as_ref());
     // Build the example relation: 3000 tuples, attribute A in {1,2,3} with
     // selectivities 0.9 / 0.5 / 0.1 for the hidden predicate.
     let schema = Schema::new(vec![
@@ -57,12 +59,12 @@ fn main() {
 
     // Step 1 — estimate correlations: group by A and sample 5%.
     let groups = table.group_by("a").expect("column a exists");
-    let sample = sample_groups_with(
+    let sample = sample_groups_ctx(
         &groups,
         &invoker,
         SampleSizeRule::Fraction(0.05),
         &mut rng,
-        executor.as_ref(),
+        &ctx,
     );
     for (g, key, _) in groups.iter() {
         println!(
@@ -83,7 +85,7 @@ fn main() {
             plan.e()[g]
         );
     }
-    let result = execute_plan_with(&plan, &groups, &invoker, &mut rng, executor.as_ref());
+    let result = execute_plan_ctx(&plan, &groups, &invoker, &mut rng, &ctx);
 
     // Report: achieved accuracy and cost vs the evaluate-everything bound.
     let truth = truth_vector(&table, "good_credit");

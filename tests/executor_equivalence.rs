@@ -6,9 +6,10 @@
 //! may differ.
 
 use expred::core::{
-    run_intel_sample_adaptive_with, run_intel_sample_ctx, run_intel_sample_with, run_naive_ctx,
-    run_naive_with, run_optimal_ctx, run_optimal_with, CorrelationModel, IntelSampleConfig,
-    PredictorChoice, QuerySpec, RunOutcome,
+    run_intel_sample_adaptive_ctx, run_intel_sample_ctx, run_intel_sample_iterative_ctx,
+    run_learning_ctx, run_multiple_ctx, run_naive_ctx, run_optimal_ctx, CorrelationModel,
+    IntelSampleConfig, PredictorChoice, QueryEngine, QueryRequest, QuerySpec, RunOutcome,
+    SampleSizeRule,
 };
 use expred::exec::{AdaptiveController, ExecContext, Executor, Parallel, Sequential, WorkerPool};
 use expred::table::datasets::{Dataset, DatasetSpec, LENDING_CLUB, PROSPER};
@@ -60,9 +61,9 @@ fn naive_is_backend_invariant() {
     let ds = small(PROSPER, 4_000, 1);
     let spec = QuerySpec::paper_default();
     for seed in [1u64, 99] {
-        let want = run_naive_with(&ds, &spec, seed, &Sequential);
+        let want = run_naive_ctx(&ds, &spec, seed, &ExecContext::new(&Sequential));
         for backend in backends() {
-            let got = run_naive_with(&ds, &spec, seed, backend.as_ref());
+            let got = run_naive_ctx(&ds, &spec, seed, &ExecContext::new(backend.as_ref()));
             assert_identical(&want, &got, &format!("naive seed {seed}"));
         }
     }
@@ -73,9 +74,15 @@ fn optimal_is_backend_invariant() {
     let ds = small(LENDING_CLUB, 5_000, 2);
     let spec = QuerySpec::paper_default();
     for seed in [3u64, 77] {
-        let want = run_optimal_with(&ds, &spec, "grade", seed, &Sequential);
+        let want = run_optimal_ctx(&ds, &spec, "grade", seed, &ExecContext::new(&Sequential));
         for backend in backends() {
-            let got = run_optimal_with(&ds, &spec, "grade", seed, backend.as_ref());
+            let got = run_optimal_ctx(
+                &ds,
+                &spec,
+                "grade",
+                seed,
+                &ExecContext::new(backend.as_ref()),
+            );
             assert_identical(&want, &got, &format!("optimal seed {seed}"));
         }
     }
@@ -86,9 +93,9 @@ fn intel_sample_fixed_predictor_is_backend_invariant() {
     let ds = small(PROSPER, 5_000, 3);
     let cfg = IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()));
     for seed in [5u64, 123] {
-        let want = run_intel_sample_with(&ds, &cfg, seed, &Sequential);
+        let want = run_intel_sample_ctx(&ds, &cfg, seed, &ExecContext::new(&Sequential));
         for backend in backends() {
-            let got = run_intel_sample_with(&ds, &cfg, seed, backend.as_ref());
+            let got = run_intel_sample_ctx(&ds, &cfg, seed, &ExecContext::new(backend.as_ref()));
             assert_identical(&want, &got, &format!("intel-sample seed {seed}"));
         }
     }
@@ -100,9 +107,9 @@ fn intel_sample_auto_predictor_is_backend_invariant() {
     let cfg = IntelSampleConfig::experiment1(PredictorChoice::Auto {
         label_fraction: 0.01,
     });
-    let want = run_intel_sample_with(&ds, &cfg, 6, &Sequential);
+    let want = run_intel_sample_ctx(&ds, &cfg, 6, &ExecContext::new(&Sequential));
     for backend in backends() {
-        let got = run_intel_sample_with(&ds, &cfg, 6, backend.as_ref());
+        let got = run_intel_sample_ctx(&ds, &cfg, 6, &ExecContext::new(backend.as_ref()));
         assert_identical(&want, &got, "intel-sample auto");
     }
 }
@@ -114,9 +121,9 @@ fn intel_sample_virtual_predictor_is_backend_invariant() {
         buckets: 10,
         label_fraction: 0.01,
     });
-    let want = run_intel_sample_with(&ds, &cfg, 7, &Sequential);
+    let want = run_intel_sample_ctx(&ds, &cfg, 7, &ExecContext::new(&Sequential));
     for backend in backends() {
-        let got = run_intel_sample_with(&ds, &cfg, 7, backend.as_ref());
+        let got = run_intel_sample_ctx(&ds, &cfg, 7, &ExecContext::new(backend.as_ref()));
         assert_identical(&want, &got, "intel-sample virtual");
     }
 }
@@ -125,22 +132,22 @@ fn intel_sample_virtual_predictor_is_backend_invariant() {
 fn adaptive_pipeline_is_backend_invariant() {
     let ds = small(PROSPER, 3_000, 6);
     let spec = QuerySpec::paper_default();
-    let want = run_intel_sample_adaptive_with(
+    let want = run_intel_sample_adaptive_ctx(
         &ds,
         &spec,
         CorrelationModel::Independent,
         "grade",
         8,
-        &Sequential,
+        &ExecContext::new(&Sequential),
     );
     for backend in backends() {
-        let got = run_intel_sample_adaptive_with(
+        let got = run_intel_sample_adaptive_ctx(
             &ds,
             &spec,
             CorrelationModel::Independent,
             "grade",
             8,
-            backend.as_ref(),
+            &ExecContext::new(backend.as_ref()),
         );
         assert_identical(&want, &got, "adaptive");
     }
@@ -151,15 +158,15 @@ fn iterative_pipeline_is_backend_invariant() {
     let ds = small(PROSPER, 3_000, 8);
     let spec = QuerySpec::paper_default();
     let run = |backend: &dyn Executor| {
-        expred::core::run_intel_sample_iterative_with(
+        run_intel_sample_iterative_ctx(
             &ds,
             &spec,
             CorrelationModel::Independent,
             "grade",
-            expred::core::SampleSizeRule::Fraction(0.05),
+            SampleSizeRule::Fraction(0.05),
             3,
             9,
-            backend,
+            &ExecContext::new(backend),
         )
     };
     let want = run(&Sequential);
@@ -184,9 +191,10 @@ fn adaptive_planner_is_outcome_invariant() {
         convinced.observe(1, std::time::Duration::from_millis(2));
     }
     for seed in [2u64, 31] {
-        let want_naive = run_naive_with(&ds, &spec, seed, &Sequential);
-        let want_intel = run_intel_sample_with(&ds, &cfg, seed, &Sequential);
-        let want_optimal = run_optimal_with(&ds, &spec, "grade", seed, &Sequential);
+        let sequential = ExecContext::new(&Sequential);
+        let want_naive = run_naive_ctx(&ds, &spec, seed, &sequential);
+        let want_intel = run_intel_sample_ctx(&ds, &cfg, seed, &sequential);
+        let want_optimal = run_optimal_ctx(&ds, &spec, "grade", seed, &sequential);
         for (name, ctx) in [
             (
                 "fresh floor-3 sequential",
@@ -228,24 +236,21 @@ fn engine_on_worker_pool_matches_sequential_engine() {
     // The full session stack — engine, adaptive controller, row cache,
     // result memo — on the pool backend must bill and answer exactly
     // like the sequential engine, query for query.
-    use expred::core::{Query, QueryEngine};
     let ds = small(PROSPER, 3_000, 10);
     let spec = QuerySpec::paper_default();
     let queries = [
-        Query::Naive(spec),
-        Query::IntelSample(IntelSampleConfig::experiment1(PredictorChoice::Fixed(
+        QueryRequest::naive(spec),
+        QueryRequest::intel_sample(IntelSampleConfig::experiment1(PredictorChoice::Fixed(
             "grade".into(),
         ))),
-        Query::Optimal {
-            spec,
-            predictor: "grade".into(),
-        },
+        QueryRequest::optimal(spec, "grade"),
     ];
     let sequential = QueryEngine::new();
     let pooled = QueryEngine::pooled();
     for (i, query) in queries.iter().enumerate() {
-        let want = sequential.run(&ds, query, 40 + i as u64);
-        let got = pooled.run(&ds, query, 40 + i as u64);
+        let request = query.clone().with_seed(40 + i as u64);
+        let want = sequential.submit(&ds, &request).unwrap();
+        let got = pooled.submit(&ds, &request).unwrap();
         assert_identical(&want, &got, &format!("engine query {i}"));
     }
     assert_eq!(sequential.session_counts(), pooled.session_counts());
@@ -257,91 +262,100 @@ fn legacy_entry_points_equal_sequential_with() {
     let ds = small(PROSPER, 3_000, 7);
     let cfg = IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()));
     let legacy = expred::core::run_intel_sample(&ds, &cfg, 11);
-    let explicit = run_intel_sample_with(&ds, &cfg, 11, &Sequential);
+    let explicit = run_intel_sample_ctx(&ds, &cfg, 11, &ExecContext::new(&Sequential));
     assert_identical(&legacy, &explicit, "legacy intel-sample");
 }
 
-/// All seven built-in strategies as legacy `Query` values for a given
-/// contract.
-fn all_seven(spec: QuerySpec) -> Vec<expred::core::Query> {
-    use expred::core::Query;
+/// One strategy's direct pipeline call: `run_*_ctx` with the strategy's
+/// parameters bound.
+type Direct = Box<dyn Fn(&Dataset, u64, &ExecContext<'_>) -> RunOutcome>;
+
+/// All seven built-in strategies for a given contract, each as a request
+/// and as the direct `run_*_ctx` pipeline it must be equivalent to.
+fn all_seven(spec: QuerySpec) -> Vec<(QueryRequest, Direct)> {
+    let cfg = IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()));
+    let corr = CorrelationModel::Independent;
+    let rule = SampleSizeRule::Fraction(0.05);
     vec![
-        Query::IntelSample(IntelSampleConfig::experiment1(PredictorChoice::Fixed(
-            "grade".into(),
-        ))),
-        Query::Naive(spec),
-        Query::Optimal {
-            spec,
-            predictor: "grade".into(),
-        },
-        Query::Adaptive {
-            spec,
-            corr: CorrelationModel::Independent,
-            predictor: "grade".into(),
-        },
-        Query::Iterative {
-            spec,
-            corr: CorrelationModel::Independent,
-            predictor: "grade".into(),
-            rule: expred::core::SampleSizeRule::Fraction(0.05),
-            rounds: 2,
-        },
-        Query::Learning(spec),
-        Query::Multiple {
-            spec,
-            imputations: 3,
-        },
+        (
+            QueryRequest::intel_sample(cfg.clone()),
+            Box::new(move |ds, seed, ctx| run_intel_sample_ctx(ds, &cfg, seed, ctx)),
+        ),
+        (
+            QueryRequest::naive(spec),
+            Box::new(move |ds, seed, ctx| run_naive_ctx(ds, &spec, seed, ctx)),
+        ),
+        (
+            QueryRequest::optimal(spec, "grade"),
+            Box::new(move |ds, seed, ctx| run_optimal_ctx(ds, &spec, "grade", seed, ctx)),
+        ),
+        (
+            QueryRequest::adaptive(spec, corr, "grade"),
+            Box::new(move |ds, seed, ctx| {
+                run_intel_sample_adaptive_ctx(ds, &spec, corr, "grade", seed, ctx)
+            }),
+        ),
+        (
+            QueryRequest::iterative(spec, corr, "grade", rule, 2),
+            Box::new(move |ds, seed, ctx| {
+                run_intel_sample_iterative_ctx(ds, &spec, corr, "grade", rule, 2, seed, ctx)
+            }),
+        ),
+        (
+            QueryRequest::learning(spec),
+            Box::new(move |ds, seed, ctx| run_learning_ctx(ds, &spec, seed, ctx)),
+        ),
+        (
+            QueryRequest::multiple(spec, 3),
+            Box::new(move |ds, seed, ctx| run_multiple_ctx(ds, &spec, 3, seed, ctx)),
+        ),
     ]
 }
 
 #[test]
 fn submit_is_byte_identical_to_legacy_run_for_all_seven_strategies() {
-    // The redesigned surface (QueryRequest + Strategy + submit) must be
-    // an exact drop-in for the legacy Query-enum run(): identical
-    // answers, bills, summaries — and identical memo identities, so a
-    // submit after a run is a result-memo hit, not a re-execution.
-    use expred::core::{QueryEngine, QueryRequest};
+    // The session surface (QueryRequest + Strategy + submit) must be an
+    // exact drop-in for each strategy's direct `run_*_ctx` pipeline — the
+    // legacy per-pipeline run entry points, on the sequential backend:
+    // identical answers, bills and summaries on a cold engine — and a
+    // replay of the same request is a result-memo hit, not a
+    // re-execution.
     let ds = small(PROSPER, 2_000, 11);
     let spec = QuerySpec::paper_default();
-    for (i, query) in all_seven(spec).iter().enumerate() {
+    for (i, (request, direct)) in all_seven(spec).into_iter().enumerate() {
         let seed = 70 + i as u64;
-        let legacy_engine = QueryEngine::new();
-        let builder_engine = QueryEngine::new();
-        let legacy = legacy_engine.run(&ds, query, seed);
-        let request = QueryRequest::from_query(query).with_seed(seed);
-        let built = builder_engine
+        let engine = QueryEngine::new();
+        let request = request.with_seed(seed);
+        let submitted = engine
             .submit(&ds, &request)
             .expect("valid request must be accepted");
-        assert_identical(&legacy, &built, &format!("strategy {i} submit vs run"));
+        let want = direct(&ds, seed, &ExecContext::new(&Sequential));
+        assert_identical(&want, &submitted, &format!("strategy {i} submit vs direct"));
         assert_eq!(
-            legacy_engine.session_counts(),
-            builder_engine.session_counts(),
-            "strategy {i}: identical session bills"
+            engine.session_counts(),
+            want.counts,
+            "strategy {i}: the session bill is the direct pipeline's"
         );
-        // Same memo identity: replaying the request on the legacy engine
-        // must hit its memo (zero new charges), and vice versa.
-        let replay = legacy_engine.submit(&ds, &request).unwrap();
-        assert_identical(
-            &legacy,
-            &replay,
-            &format!("strategy {i} cross-route replay"),
-        );
+        let replay = engine.submit(&ds, &request).unwrap();
+        assert_identical(&submitted, &replay, &format!("strategy {i} replay"));
         assert_eq!(
-            legacy_engine.stats().result_hits,
+            engine.stats().result_hits,
             1,
-            "strategy {i}: submit must hit the memo entry run() wrote"
+            "strategy {i}: the replay must hit the memo"
         );
-        let replay = builder_engine.run(&ds, query, seed);
-        assert_identical(&built, &replay, &format!("strategy {i} run-after-submit"));
-        assert_eq!(builder_engine.stats().result_hits, 1);
+        assert_eq!(
+            engine.session_counts(),
+            want.counts,
+            "strategy {i}: a memoized replay charges nothing"
+        );
     }
 }
 
-// Property: for random contracts and seeds, every builder-constructed
-// request answers byte-identically to the legacy enum route (fresh
-// engines on both sides; the non-ML strategies run per case — the ML
-// baselines are covered by the deterministic seven-way test above,
-// their training loops are too slow for a property sweep).
+// Property: for random contracts and seeds, every request answers
+// byte-identically to its direct pipeline (fresh engine per case; the
+// non-ML strategies run per case — the ML baselines are covered by the
+// deterministic seven-way test above, their training loops are too slow
+// for a property sweep).
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
 
@@ -353,15 +367,16 @@ proptest::proptest! {
         seed in 0u64..1_000,
         strategy_index in 0usize..5,
     ) {
-        use expred::core::{QueryEngine, QueryRequest};
         let ds = small(PROSPER, 1_500, 13);
         let spec = QuerySpec::try_new(alpha, beta, rho, expred::udf::CostModel::PAPER_DEFAULT)
             .expect("generated specs are in range");
-        let query = all_seven(spec).swap_remove(strategy_index);
-        let legacy = QueryEngine::new().run(&ds, &query, seed);
-        let built = QueryEngine::new()
-            .submit(&ds, &QueryRequest::from_query(&query).with_seed(seed))
+        let (request, direct) = all_seven(spec).swap_remove(strategy_index);
+        let engine = QueryEngine::new();
+        let submitted = engine
+            .submit(&ds, &request.with_seed(seed))
             .expect("valid request must be accepted");
-        assert_identical(&legacy, &built, &format!("proptest strategy {strategy_index}"));
+        let want = direct(&ds, seed, &ExecContext::new(&Sequential));
+        assert_identical(&want, &submitted, &format!("proptest strategy {strategy_index}"));
+        assert_eq!(engine.session_counts(), want.counts);
     }
 }
