@@ -14,9 +14,10 @@
 
 use expred_bench::{report::measure_ns_per_unit, BenchReport};
 use expred_core::optimize::{solve_estimated, CorrelationModel, EstimatedGroup};
-use expred_core::pipeline::{run_intel_sample, IntelSampleConfig, PredictorChoice};
+use expred_core::pipeline::{run_intel_sample_ctx, IntelSampleConfig, PredictorChoice};
 use expred_core::query::QuerySpec;
 use expred_core::sampling::SampleSizeRule;
+use expred_exec::ExecContext;
 use expred_solver::bigreedy::GreedyProblem;
 use expred_stats::rng::Prng;
 use expred_table::datasets::{Dataset, DatasetSpec, LENDING_CLUB};
@@ -119,7 +120,12 @@ fn main() {
         let mut seed = 0u64;
         let ns = measure_ns_per_unit(rows as u64, rule_reps, || {
             seed += 1;
-            black_box(run_intel_sample(&ds, &cfg, seed));
+            black_box(run_intel_sample_ctx(
+                &ds,
+                &cfg,
+                seed,
+                &ExecContext::sequential(),
+            ));
         });
         if i == 0 {
             baseline_ns = ns;

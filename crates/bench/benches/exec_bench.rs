@@ -2,17 +2,17 @@
 //!
 //! The paper's setting is a UDF whose single call dwarfs everything else
 //! (credit checks, image classification). Here a [`SlowUdf`] sleeps 100µs
-//! per call; the benchmarks compare the `Sequential` and `Parallel`
+//! per call; the benchmarks compare the `Sequential` and `WorkerPool`
 //! backends on the same audited workloads. On a ≥4-core machine the
-//! parallel backend is expected to clear a 2× wall-clock speedup (the
-//! sleeps overlap even on fewer cores, so it usually clears it there
-//! too); `speedup_report` prints the measured ratio directly.
+//! pool is expected to clear a 2× wall-clock speedup (the sleeps overlap
+//! even on fewer cores, so it usually clears it there too);
+//! `speedup_report` prints the measured ratio directly.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use expred_bench::BenchReport;
 use expred_core::execute::execute_plan_ctx;
 use expred_core::plan::Plan;
-use expred_exec::{ExecContext, Executor, Parallel, Sequential};
+use expred_exec::{ExecContext, Executor, Sequential, WorkerPool};
 use expred_stats::rng::Prng;
 use expred_table::datasets::{Dataset, DatasetSpec, LABEL_COLUMN, PROSPER};
 use expred_udf::{OracleUdf, SlowUdf, UdfInvoker};
@@ -42,8 +42,8 @@ fn bench_batch_backends(c: &mut Criterion) {
     let batch: Vec<usize> = (0..1_024).collect();
     let backends: Vec<(&str, Box<dyn Executor>)> = vec![
         ("sequential", Box::new(Sequential)),
-        ("parallel_4", Box::new(Parallel::with_threads(4))),
-        ("parallel_machine", Box::new(Parallel::new())),
+        ("pool_4", Box::new(WorkerPool::with_threads(4))),
+        ("pool_machine", Box::new(WorkerPool::new())),
     ];
     let mut group = c.benchmark_group("slow_udf_batch_1024x100us");
     group.throughput(Throughput::Elements(batch.len() as u64));
@@ -69,7 +69,7 @@ fn bench_execute_plan_backends(c: &mut Criterion) {
     let plan = Plan::new(vec![0.8; k], vec![0.5; k]);
     let backends: Vec<(&str, Box<dyn Executor>)> = vec![
         ("sequential", Box::new(Sequential)),
-        ("parallel_8", Box::new(Parallel::with_threads(8))),
+        ("pool_8", Box::new(WorkerPool::with_threads(8))),
     ];
     let mut group = c.benchmark_group("execute_plan_slow_udf");
     group.throughput(Throughput::Elements(ds.table.num_rows() as u64));
@@ -94,7 +94,7 @@ fn bench_execute_plan_backends(c: &mut Criterion) {
     group.finish();
 }
 
-/// Prints the sequential/parallel wall-clock ratio (and asserts the two
+/// Prints the sequential/pool wall-clock ratio (and asserts the two
 /// backends agreed on every answer while measuring it).
 fn speedup_report(c: &mut Criterion) {
     let ds = dataset();
@@ -109,14 +109,15 @@ fn speedup_report(c: &mut Criterion) {
     let (seq_secs, seq_answers) = time(&Sequential);
     // At least 4 workers: sleeping probes overlap even when cores are
     // scarce, so the report is meaningful on small CI boxes too.
-    let parallel = Parallel::with_threads(Parallel::new().threads().max(4));
-    let (par_secs, par_answers) = time(&parallel);
-    assert_eq!(seq_answers, par_answers, "backends disagreed");
+    let machine = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let pool = WorkerPool::with_threads(machine.max(4));
+    let (pool_secs, pool_answers) = time(&pool);
+    assert_eq!(seq_answers, pool_answers, "backends disagreed");
     println!(
-        "speedup_report: sequential {seq_secs:.3}s, parallel({threads} threads) {par_secs:.3}s \
-         -> {ratio:.1}x",
-        threads = parallel.threads(),
-        ratio = seq_secs / par_secs
+        "speedup_report: sequential {seq_secs:.3}s, worker_pool({threads} threads) \
+         {pool_secs:.3}s -> {ratio:.1}x",
+        threads = pool.threads(),
+        ratio = seq_secs / pool_secs
     );
     // Persist the trajectory: BENCH_exec.json alongside the text report.
     let per_probe = |secs: f64| secs * 1e9 / batch.len() as f64;
@@ -129,9 +130,9 @@ fn speedup_report(c: &mut Criterion) {
     );
     report.record(
         "invoker_batch_1024_udf_100us",
-        "parallel",
-        per_probe(par_secs),
-        seq_secs / par_secs,
+        "worker_pool",
+        per_probe(pool_secs),
+        seq_secs / pool_secs,
     );
     match report.write() {
         Ok(path) => println!("results written to {}", path.display()),

@@ -11,8 +11,9 @@
 //! probes — this measures the executor's own bookkeeping, not UDF cost).
 
 use expred_bench::{report::measure_ns_per_unit, BenchReport};
-use expred_core::execute::execute_plan;
+use expred_core::execute::execute_plan_ctx;
 use expred_core::plan::Plan;
+use expred_exec::ExecContext;
 use expred_stats::rng::Prng;
 use expred_table::datasets::{Dataset, DatasetSpec, LENDING_CLUB};
 use expred_udf::{OracleUdf, UdfInvoker};
@@ -55,7 +56,13 @@ fn main() {
             // the measurement.
             let invoker = UdfInvoker::new(&udf, &ds.table);
             let mut rng = Prng::seeded(seed);
-            black_box(execute_plan(plan, &groups, &invoker, &mut rng));
+            black_box(execute_plan_ctx(
+                plan,
+                &groups,
+                &invoker,
+                &mut rng,
+                &ExecContext::sequential(),
+            ));
         });
         let scenario = format!("execute_plan_{name}");
         report.record(&scenario, "sequential", ns, 1.0);
@@ -72,7 +79,13 @@ fn main() {
         for r in 0..rows / 10 {
             invoker.retrieve_and_evaluate(r * 10);
         }
-        black_box(execute_plan(&plan, &groups, &invoker, &mut rng));
+        black_box(execute_plan_ctx(
+            &plan,
+            &groups,
+            &invoker,
+            &mut rng,
+            &ExecContext::sequential(),
+        ));
     });
     let scenario = "execute_plan_fractional_with_memo";
     report.record(scenario, "sequential", ns, 1.0);

@@ -19,8 +19,9 @@
 
 use expred_bench::{report::measure_ns_per_unit, BenchReport};
 use expred_core::optimize::{solve_estimated, CorrelationModel, EstimatedGroup};
-use expred_core::pipeline::{run_intel_sample, IntelSampleConfig, PredictorChoice};
+use expred_core::pipeline::{run_intel_sample_ctx, IntelSampleConfig, PredictorChoice};
 use expred_core::query::QuerySpec;
+use expred_exec::ExecContext;
 use expred_table::datasets::{all_specs, Dataset, DatasetSpec, PROSPER};
 use std::hint::black_box;
 
@@ -75,7 +76,12 @@ fn main() {
     let reps = if smoke { 1 } else { 5 };
     let ns = measure_ns_per_unit(rows as u64, reps, || {
         seed += 1;
-        black_box(run_intel_sample(&ds, &cfg, seed));
+        black_box(run_intel_sample_ctx(
+            &ds,
+            &cfg,
+            seed,
+            &ExecContext::sequential(),
+        ));
     });
     let scenario = "intel_sample_prosper_10k";
     report.record(scenario, "sequential", ns, 1.0);

@@ -1,6 +1,6 @@
-//! `pool_bench` — `Sequential` vs `Parallel` vs `WorkerPool` across the
-//! batch-size × UDF-latency grid, plus the many-small-batches drain that
-//! motivated the pool.
+//! `pool_bench` — `Sequential` vs `WorkerPool` across the batch-size ×
+//! UDF-latency grid, plus the many-small-batches drain that motivated
+//! the pool.
 //!
 //! ```text
 //! cargo bench --bench pool_bench            # full grid
@@ -13,10 +13,9 @@
 //!   the given latency, repeated; reports mean ns/probe per backend.
 //! * `many_small_batches_udf_100us` — the planner's group-by-group
 //!   drain: hundreds of 16-row batches pushed through `evaluate_batch`
-//!   one after another. `Parallel` runs these inline (16 < its spawn
-//!   floor) or pays per-batch thread spawns; the pool's persistent
-//!   workers are the point. The ISSUE target: pool ≥2× over `Parallel`
-//!   here, parity elsewhere.
+//!   one after another. A spawn-per-batch backend must run these inline
+//!   or pay thread spawns per batch; the pool's persistent workers are
+//!   the point.
 //!
 //! Results land in `BENCH_pool.json` (schema: `expred_bench::report`),
 //! with `sequential` as the per-scenario speedup baseline.
@@ -26,16 +25,16 @@
 //! ≥50µs probes `thread::sleep` — they overlap across workers the way
 //! concurrent service calls do, core count notwithstanding — while
 //! µs-probes spin (sleep granularity cannot express them; they model the
-//! CPU-bound end, where a 1-core box rightly shows parity). Backends are
-//! 8-wide like `exec_bench`'s: in-flight window sizing for latency-bound
-//! UDFs is connection-pool math, not core-count math.
+//! CPU-bound end, where a 1-core box rightly shows parity). The pool is
+//! 8-wide like `exec_bench`'s `pool_8`: in-flight window sizing for
+//! latency-bound UDFs is connection-pool math, not core-count math.
 
 use expred_bench::BenchReport;
-use expred_exec::{Executor, Parallel, Sequential, WorkerPool};
+use expred_exec::{Executor, Sequential, WorkerPool};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// Worker width for the threaded backends (see module docs).
+/// Worker width for the pool (see module docs).
 const WIDTH: usize = 8;
 
 /// Latency at and above which the probe sleeps instead of spinning.
@@ -141,7 +140,7 @@ fn main() {
 
     let mut report = BenchReport::new("pool");
     println!(
-        "pool_bench ({} mode): sequential vs parallel vs worker_pool",
+        "pool_bench ({} mode): sequential vs worker_pool",
         if smoke { "smoke" } else { "full" }
     );
 
@@ -156,18 +155,13 @@ fn main() {
             let rows: Vec<usize> = (0..rows_n).collect();
             let reps = reps_for(rows_n, latency, budget);
             let sequential = time_batch(&Sequential, latency, &rows, reps);
-            let parallel = time_batch(&Parallel::with_threads(WIDTH), latency, &rows, reps);
             let pool = WorkerPool::with_threads(WIDTH);
             let pooled = time_batch(&pool, latency, &rows, reps);
             report.record(&scenario, "sequential", sequential, 1.0);
-            report.record(&scenario, "parallel", parallel, sequential / parallel);
             report.record(&scenario, "worker_pool", pooled, sequential / pooled);
             println!(
-                "{scenario:<28} seq {sequential:>10.0} ns/probe | par {parallel:>10.0} \
-                 ({:>5.2}x) | pool {pooled:>10.0} ({:>5.2}x) | pool/par {:>5.2}x",
-                sequential / parallel,
+                "{scenario:<28} seq {sequential:>10.0} ns/probe | pool {pooled:>10.0} ({:>5.2}x)",
                 sequential / pooled,
-                parallel / pooled,
             );
         }
     }
@@ -178,25 +172,14 @@ fn main() {
     let latency = Duration::from_micros(100);
     let scenario = "many_small_batches_udf_100us";
     let sequential = time_many_small(&Sequential, latency, batches, 16, reps);
-    let parallel = time_many_small(&Parallel::with_threads(WIDTH), latency, batches, 16, reps);
     let pool = WorkerPool::with_threads(WIDTH);
     let pooled = time_many_small(&pool, latency, batches, 16, reps);
     report.record(scenario, "sequential", sequential, 1.0);
-    report.record(scenario, "parallel", parallel, sequential / parallel);
     report.record(scenario, "worker_pool", pooled, sequential / pooled);
-    let pool_vs_parallel = parallel / pooled;
     println!(
-        "{scenario:<28} seq {sequential:>10.0} ns/probe | par {parallel:>10.0} \
-         ({:>5.2}x) | pool {pooled:>10.0} ({:>5.2}x) | pool/par {pool_vs_parallel:>5.2}x",
-        sequential / parallel,
+        "{scenario:<28} seq {sequential:>10.0} ns/probe | pool {pooled:>10.0} ({:>5.2}x)",
         sequential / pooled,
     );
-    if pool_vs_parallel < 2.0 && !smoke {
-        println!(
-            "WARNING: worker_pool is only {pool_vs_parallel:.2}x over parallel on \
-             {scenario} (target: >= 2x)"
-        );
-    }
 
     match report.write() {
         Ok(path) => println!("results written to {}", path.display()),

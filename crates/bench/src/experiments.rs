@@ -6,13 +6,14 @@
 //! `o_r = 1`, `o_e = 3`, 5% sampling for Experiment 1.
 
 use crate::harness::{fmt, paper_datasets, run_many, summarize, HarnessConfig, TextTable};
-use expred_core::baselines::{run_learning, run_multiple};
+use expred_core::baselines::{run_learning_ctx, run_multiple_ctx};
 use expred_core::optimize::CorrelationModel;
 use expred_core::pipeline::{
-    run_intel_sample, run_naive, run_optimal, IntelSampleConfig, PredictorChoice,
+    run_intel_sample_ctx, run_naive_ctx, run_optimal_ctx, IntelSampleConfig, PredictorChoice,
 };
 use expred_core::query::QuerySpec;
 use expred_core::sampling::SampleSizeRule;
+use expred_exec::ExecContext;
 use expred_table::datasets::Dataset;
 use expred_udf::CostModel;
 
@@ -37,13 +38,15 @@ pub fn table2(cfg: &HarnessConfig) -> TextTable {
         });
         let intel = summarize(
             &run_many(cfg.iterations, cfg.seed, |s| {
-                run_intel_sample(ds, &intel_cfg, s)
+                run_intel_sample_ctx(ds, &intel_cfg, s, &ExecContext::sequential())
             }),
             spec.alpha,
             spec.beta,
         );
         let naive = summarize(
-            &run_many(cfg.iterations, cfg.seed, |s| run_naive(ds, &spec, s)),
+            &run_many(cfg.iterations, cfg.seed, |s| {
+                run_naive_ctx(ds, &spec, s, &ExecContext::sequential())
+            }),
             spec.alpha,
             spec.beta,
         );
@@ -51,12 +54,16 @@ pub fn table2(cfg: &HarnessConfig) -> TextTable {
         // baselines, as the paper's Table 2 reports a single ML column.
         let ml_iters = cfg.iterations.clamp(1, 5);
         let learning = summarize(
-            &run_many(ml_iters, cfg.seed, |s| run_learning(ds, &spec, s)),
+            &run_many(ml_iters, cfg.seed, |s| {
+                run_learning_ctx(ds, &spec, s, &ExecContext::sequential())
+            }),
             spec.alpha,
             spec.beta,
         );
         let multiple = summarize(
-            &run_many(ml_iters, cfg.seed, |s| run_multiple(ds, &spec, 5, s)),
+            &run_many(ml_iters, cfg.seed, |s| {
+                run_multiple_ctx(ds, &spec, 5, s, &ExecContext::sequential())
+            }),
             spec.alpha,
             spec.beta,
         );
@@ -112,20 +119,22 @@ pub fn fig1a(cfg: &HarnessConfig) -> TextTable {
     for ds in &datasets {
         let intel_cfg = IntelSampleConfig::experiment1(fixed(ds));
         let naive = summarize(
-            &run_many(cfg.iterations, cfg.seed, |s| run_naive(ds, &spec, s)),
+            &run_many(cfg.iterations, cfg.seed, |s| {
+                run_naive_ctx(ds, &spec, s, &ExecContext::sequential())
+            }),
             spec.alpha,
             spec.beta,
         );
         let intel = summarize(
             &run_many(cfg.iterations, cfg.seed, |s| {
-                run_intel_sample(ds, &intel_cfg, s)
+                run_intel_sample_ctx(ds, &intel_cfg, s, &ExecContext::sequential())
             }),
             spec.alpha,
             spec.beta,
         );
         let optimal = summarize(
             &run_many(cfg.iterations, cfg.seed, |s| {
-                run_optimal(ds, &spec, ds.predictor(), s)
+                run_optimal_ctx(ds, &spec, ds.predictor(), s, &ExecContext::sequential())
             }),
             spec.alpha,
             spec.beta,
@@ -149,18 +158,22 @@ pub fn fig1b(cfg: &HarnessConfig) -> TextTable {
     for ds in &datasets {
         let intel_cfg = IntelSampleConfig::experiment1(fixed(ds));
         let learning = summarize(
-            &run_many(ml_iters, cfg.seed, |s| run_learning(ds, &spec, s)),
+            &run_many(ml_iters, cfg.seed, |s| {
+                run_learning_ctx(ds, &spec, s, &ExecContext::sequential())
+            }),
             spec.alpha,
             spec.beta,
         );
         let multiple = summarize(
-            &run_many(ml_iters, cfg.seed, |s| run_multiple(ds, &spec, 5, s)),
+            &run_many(ml_iters, cfg.seed, |s| {
+                run_multiple_ctx(ds, &spec, 5, s, &ExecContext::sequential())
+            }),
             spec.alpha,
             spec.beta,
         );
         let intel = summarize(
             &run_many(cfg.iterations, cfg.seed, |s| {
-                run_intel_sample(ds, &intel_cfg, s)
+                run_intel_sample_ctx(ds, &intel_cfg, s, &ExecContext::sequential())
             }),
             spec.alpha,
             spec.beta,
@@ -196,7 +209,7 @@ pub fn fig1c(cfg: &HarnessConfig) -> TextTable {
             };
             let stats = summarize(
                 &run_many(cfg.iterations, cfg.seed, |s| {
-                    run_intel_sample(ds, &intel_cfg, s)
+                    run_intel_sample_ctx(ds, &intel_cfg, s, &ExecContext::sequential())
                 }),
                 spec.alpha,
                 spec.beta,
@@ -228,7 +241,7 @@ pub fn fig2ab(cfg: &HarnessConfig, recall_side: bool) -> TextTable {
             };
             let stats = summarize(
                 &run_many(cfg.rho_iterations, cfg.seed, |s| {
-                    run_intel_sample(ds, &intel_cfg, s)
+                    run_intel_sample_ctx(ds, &intel_cfg, s, &ExecContext::sequential())
                 }),
                 spec.alpha,
                 spec.beta,
@@ -269,7 +282,7 @@ pub fn fig2c(cfg: &HarnessConfig) -> TextTable {
             };
             let stats = summarize(
                 &run_many(cfg.iterations, cfg.seed, |s| {
-                    run_intel_sample(ds, &intel_cfg, s)
+                    run_intel_sample_ctx(ds, &intel_cfg, s, &ExecContext::sequential())
                 }),
                 spec.alpha,
                 spec.beta,
@@ -324,7 +337,7 @@ fn sweep_sampling(cfg: &HarnessConfig, constant: bool) -> TextTable {
             };
             let stats = summarize(
                 &run_many(cfg.iterations, cfg.seed, |s| {
-                    run_intel_sample(ds, &intel_cfg, s)
+                    run_intel_sample_ctx(ds, &intel_cfg, s, &ExecContext::sequential())
                 }),
                 spec.alpha,
                 spec.beta,
@@ -355,7 +368,7 @@ pub fn fig3c(cfg: &HarnessConfig) -> TextTable {
             };
             let stats = summarize(
                 &run_many(cfg.iterations, cfg.seed, |s| {
-                    run_intel_sample(ds, &intel_cfg, s)
+                    run_intel_sample_ctx(ds, &intel_cfg, s, &ExecContext::sequential())
                 }),
                 spec.alpha,
                 spec.beta,
@@ -374,7 +387,9 @@ pub fn columns(cfg: &HarnessConfig) -> TextTable {
     let ds = &paper_datasets(cfg.seed)[0]; // lc
     let spec = QuerySpec::paper_default();
     let naive = summarize(
-        &run_many(cfg.iterations, cfg.seed, |s| run_naive(ds, &spec, s)),
+        &run_many(cfg.iterations, cfg.seed, |s| {
+            run_naive_ctx(ds, &spec, s, &ExecContext::sequential())
+        }),
         spec.alpha,
         spec.beta,
     );
@@ -383,7 +398,7 @@ pub fn columns(cfg: &HarnessConfig) -> TextTable {
         let intel_cfg = IntelSampleConfig::experiment1(PredictorChoice::Fixed(col.clone()));
         let stats = summarize(
             &run_many(cfg.iterations, cfg.seed, |s| {
-                run_intel_sample(ds, &intel_cfg, s)
+                run_intel_sample_ctx(ds, &intel_cfg, s, &ExecContext::sequential())
             }),
             spec.alpha,
             spec.beta,
@@ -411,7 +426,7 @@ pub fn timing(cfg: &HarnessConfig) -> TextTable {
         });
         let stats = summarize(
             &run_many(cfg.iterations.clamp(1, 5), cfg.seed, |s| {
-                run_intel_sample(ds, &intel_cfg, s)
+                run_intel_sample_ctx(ds, &intel_cfg, s, &ExecContext::sequential())
             }),
             spec.alpha,
             spec.beta,

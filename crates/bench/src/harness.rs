@@ -240,7 +240,8 @@ mod tests {
 
     #[test]
     fn run_many_is_deterministic_and_ordered() {
-        use expred_core::{run_naive, QuerySpec};
+        use expred_core::{run_naive_ctx, QuerySpec};
+        use expred_exec::ExecContext;
         use expred_table::datasets::{Dataset, DatasetSpec, PROSPER};
         let ds = Dataset::generate(
             DatasetSpec {
@@ -250,8 +251,12 @@ mod tests {
             1,
         );
         let spec = QuerySpec::paper_default();
-        let a = run_many(4, 10, |seed| run_naive(&ds, &spec, seed));
-        let b = run_many(4, 10, |seed| run_naive(&ds, &spec, seed));
+        let a = run_many(4, 10, |seed| {
+            run_naive_ctx(&ds, &spec, seed, &ExecContext::sequential())
+        });
+        let b = run_many(4, 10, |seed| {
+            run_naive_ctx(&ds, &spec, seed, &ExecContext::sequential())
+        });
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.counts, y.counts);
         }

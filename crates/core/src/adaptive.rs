@@ -2,40 +2,28 @@
 //!
 //! Two schemes beyond the one-shot pipeline:
 //!
-//! * [`run_intel_sample_adaptive`] — §4.3's parameter-free variant:
+//! * [`run_intel_sample_adaptive_ctx`] — §4.3's parameter-free variant:
 //!   instead of fixing the sampling parameter `num` up front, grow it and
 //!   re-plan until the estimated total cost starts rising ("we can guess
 //!   the optimal value of z using adaptive sampling").
-//! * [`run_intel_sample_iterative`] — §4.2's remark that "nothing prevents
+//! * [`run_intel_sample_iterative_ctx`] — §4.2's remark that "nothing prevents
 //!   us from going back-and-forth between estimating selectivities and
 //!   exploiting them": run a fraction of the plan, fold the new
 //!   evaluations into the estimates, and re-plan.
 
-use crate::execute::{execute_plan_ctx, truth_vector};
+use crate::execute::execute_plan_ctx;
 use crate::optimize::{solve_estimated, CorrelationModel};
-use crate::pipeline::{session_group_by, RunOutcome};
+use crate::pipeline::{finish_outcome, session_group_by, RunOutcome};
 use crate::plan::Plan;
 use crate::query::QuerySpec;
 use crate::sampling::{adaptive_num_search_ctx, sample_groups_ctx, SampleSizeRule};
 use expred_exec::ExecContext;
-use expred_ml::metrics::precision_recall;
 use expred_stats::rng::Prng;
-use expred_table::datasets::{Dataset, LABEL_COLUMN};
+use expred_table::datasets::Dataset;
 use expred_udf::UdfInvoker;
 use std::time::Instant;
 
 /// §4.3's adaptive pipeline: no sampling parameter needs to be supplied.
-pub fn run_intel_sample_adaptive(
-    ds: &Dataset,
-    spec: &QuerySpec,
-    corr: CorrelationModel,
-    predictor: &str,
-    seed: u64,
-) -> RunOutcome {
-    run_intel_sample_adaptive_ctx(ds, spec, corr, predictor, seed, &ExecContext::sequential())
-}
-
-/// [`run_intel_sample_adaptive`] under an execution context.
 pub fn run_intel_sample_adaptive_ctx(
     ds: &Dataset,
     spec: &QuerySpec,
@@ -58,21 +46,15 @@ pub fn run_intel_sample_adaptive_ctx(
         Err(_) => (Plan::evaluate_all(groups.num_groups()), false),
     };
     let result = execute_plan_ctx(&plan, &groups, &invoker, &mut rng, ctx);
-    let compute_seconds = start.elapsed().as_secs_f64();
-
-    let truth = truth_vector(table, LABEL_COLUMN);
-    let returned_usize: Vec<usize> = result.returned.iter().map(|&r| r as usize).collect();
-    let summary = precision_recall(&returned_usize, &truth);
-    let counts = invoker.counts();
-    RunOutcome {
-        returned: result.returned,
-        counts,
-        cost: counts.cost(&spec.cost),
-        summary,
-        num_groups: groups.num_groups(),
-        compute_seconds,
+    finish_outcome(
+        start,
+        table,
+        result.returned,
+        &invoker,
+        &spec.cost,
+        groups.num_groups(),
         plan_feasible,
-    }
+    )
 }
 
 /// §4.2's iterative pipeline: `rounds` alternations of (sample, plan,
@@ -81,28 +63,6 @@ pub fn run_intel_sample_adaptive_ctx(
 /// into the estimates.
 ///
 /// With `rounds = 1` this degenerates to the one-shot pipeline.
-pub fn run_intel_sample_iterative(
-    ds: &Dataset,
-    spec: &QuerySpec,
-    corr: CorrelationModel,
-    predictor: &str,
-    initial_rule: SampleSizeRule,
-    rounds: usize,
-    seed: u64,
-) -> RunOutcome {
-    run_intel_sample_iterative_ctx(
-        ds,
-        spec,
-        corr,
-        predictor,
-        initial_rule,
-        rounds,
-        seed,
-        &ExecContext::sequential(),
-    )
-}
-
-/// [`run_intel_sample_iterative`] under an execution context.
 #[allow(clippy::too_many_arguments)]
 pub fn run_intel_sample_iterative_ctx(
     ds: &Dataset,
@@ -184,27 +144,23 @@ pub fn run_intel_sample_iterative_ctx(
     }
     returned.sort_unstable();
     returned.dedup();
-
-    let compute_seconds = start.elapsed().as_secs_f64();
-    let truth = truth_vector(table, LABEL_COLUMN);
-    let returned_usize: Vec<usize> = returned.iter().map(|&r| r as usize).collect();
-    let summary = precision_recall(&returned_usize, &truth);
-    let counts = invoker.counts();
-    RunOutcome {
+    finish_outcome(
+        start,
+        table,
         returned,
-        counts,
-        cost: counts.cost(&spec.cost),
-        summary,
-        num_groups: k,
-        compute_seconds,
+        &invoker,
+        &spec.cost,
+        k,
         plan_feasible,
-    }
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{run_intel_sample, run_naive, IntelSampleConfig, PredictorChoice};
+    use crate::pipeline::{
+        run_intel_sample_ctx, run_naive_ctx, IntelSampleConfig, PredictorChoice,
+    };
     use expred_table::datasets::{Dataset, DatasetSpec, PROSPER};
 
     fn small_prosper() -> Dataset {
@@ -221,9 +177,15 @@ mod tests {
     fn adaptive_pipeline_beats_naive_without_tuning() {
         let ds = small_prosper();
         let spec = QuerySpec::paper_default();
-        let adaptive =
-            run_intel_sample_adaptive(&ds, &spec, CorrelationModel::Independent, "grade", 1);
-        let naive = run_naive(&ds, &spec, 1);
+        let adaptive = run_intel_sample_adaptive_ctx(
+            &ds,
+            &spec,
+            CorrelationModel::Independent,
+            "grade",
+            1,
+            &ExecContext::sequential(),
+        );
+        let naive = run_naive_ctx(&ds, &spec, 1, &ExecContext::sequential());
         assert!(
             adaptive.counts.evaluated < naive.counts.evaluated,
             "adaptive {} vs naive {}",
@@ -238,8 +200,14 @@ mod tests {
         let spec = QuerySpec::paper_default();
         let mut ok = 0;
         for seed in 0..8 {
-            let out =
-                run_intel_sample_adaptive(&ds, &spec, CorrelationModel::Independent, "grade", seed);
+            let out = run_intel_sample_adaptive_ctx(
+                &ds,
+                &spec,
+                CorrelationModel::Independent,
+                "grade",
+                seed,
+                &ExecContext::sequential(),
+            );
             if out.summary.meets(spec.alpha, spec.beta) {
                 ok += 1;
             }
@@ -251,7 +219,7 @@ mod tests {
     fn iterative_single_round_close_to_one_shot() {
         let ds = small_prosper();
         let spec = QuerySpec::paper_default();
-        let iterative = run_intel_sample_iterative(
+        let iterative = run_intel_sample_iterative_ctx(
             &ds,
             &spec,
             CorrelationModel::Independent,
@@ -259,11 +227,13 @@ mod tests {
             SampleSizeRule::Fraction(0.05),
             1,
             5,
+            &ExecContext::sequential(),
         );
-        let one_shot = run_intel_sample(
+        let one_shot = run_intel_sample_ctx(
             &ds,
             &IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into())),
             5,
+            &ExecContext::sequential(),
         );
         // Same structure; costs should land in the same ballpark.
         let a = iterative.counts.evaluated as f64;
@@ -280,7 +250,7 @@ mod tests {
         let spec = QuerySpec::paper_default();
         let mut ok = 0;
         for seed in 0..6 {
-            let out = run_intel_sample_iterative(
+            let out = run_intel_sample_iterative_ctx(
                 &ds,
                 &spec,
                 CorrelationModel::Independent,
@@ -288,6 +258,7 @@ mod tests {
                 SampleSizeRule::Fraction(0.03),
                 3,
                 100 + seed,
+                &ExecContext::sequential(),
             );
             assert!(out.counts.evaluated > 0);
             if out.summary.meets(spec.alpha, spec.beta) {
@@ -301,7 +272,7 @@ mod tests {
     fn iterative_never_duplicates_answers() {
         let ds = small_prosper();
         let spec = QuerySpec::paper_default();
-        let out = run_intel_sample_iterative(
+        let out = run_intel_sample_iterative_ctx(
             &ds,
             &spec,
             CorrelationModel::Independent,
@@ -309,6 +280,7 @@ mod tests {
             SampleSizeRule::Fraction(0.05),
             4,
             9,
+            &ExecContext::sequential(),
         );
         let mut sorted = out.returned.clone();
         sorted.dedup();

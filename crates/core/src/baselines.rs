@@ -15,17 +15,18 @@
 //! labelling cost — and inside a session, labels paid for by earlier
 //! queries arrive as free reuse hits.
 
-use crate::pipeline::RunOutcome;
+use crate::pipeline::{finish_outcome, RunOutcome};
 use crate::query::QuerySpec;
 use expred_exec::ExecContext;
 use expred_ml::features::{extract_features_cached, FeatureSpec};
 use expred_ml::logistic::TrainConfig;
-use expred_ml::metrics::{precision_recall, PrSummary};
+use expred_ml::metrics::precision_recall;
 use expred_ml::semisupervised::{
     learning_returned_set, multiple_imputations, self_train, SelfTrainConfig,
 };
 use expred_stats::rng::Prng;
 use expred_table::datasets::{Dataset, LABEL_COLUMN};
+use expred_table::Table;
 use expred_udf::{CostModel, UdfInvoker};
 use std::time::Instant;
 
@@ -53,7 +54,7 @@ fn baseline_train_config() -> SelfTrainConfig {
 fn outcome_from(
     returned: Vec<usize>,
     labelled: &[usize],
-    summary: PrSummary,
+    table: &Table,
     cost_model: &CostModel,
     invoker: &UdfInvoker<'_>,
     start: Instant,
@@ -65,16 +66,8 @@ fn outcome_from(
     let seed: std::collections::HashSet<usize> = labelled.iter().copied().collect();
     let fresh_returns = returned.iter().filter(|r| !seed.contains(r)).count();
     invoker.charge_retrievals(fresh_returns as u64);
-    let counts = invoker.counts();
-    RunOutcome {
-        returned: returned.into_iter().map(|r| r as u32).collect(),
-        counts,
-        cost: counts.cost(cost_model),
-        summary,
-        num_groups: 1,
-        compute_seconds: start.elapsed().as_secs_f64(),
-        plan_feasible: feasible,
-    }
+    let returned = returned.into_iter().map(|r| r as u32).collect();
+    finish_outcome(start, table, returned, invoker, cost_model, 1, feasible)
 }
 
 /// Labels the permutation prefix `perm[..m]` through the runtime,
@@ -102,14 +95,9 @@ fn label_prefix(
 }
 
 /// The `Learning` baseline: self-training semi-supervised classification
-/// with oracle-tuned minimal training size.
-pub fn run_learning(ds: &Dataset, spec: &QuerySpec, seed: u64) -> RunOutcome {
-    run_learning_ctx(ds, spec, seed, &ExecContext::sequential())
-}
-
-/// [`run_learning`] under an execution context: training labels are
-/// evaluated through `ctx.executor` (and reused from the session cache,
-/// when present).
+/// with oracle-tuned minimal training size. Training labels are evaluated
+/// through `ctx.executor` (and reused from the session cache, when
+/// present).
 pub fn run_learning_ctx(
     ds: &Dataset,
     spec: &QuerySpec,
@@ -134,29 +122,25 @@ pub fn run_learning_ctx(
     let cfg = baseline_train_config();
     let mut labelled_so_far = 0usize;
 
-    let mut last: Option<(Vec<usize>, usize, PrSummary)> = None;
+    let mut last: Option<(Vec<usize>, usize)> = None;
     for frac in SIZE_GRID {
         let m = ((frac * n as f64).ceil() as usize).clamp(1, n);
         let labels = label_prefix(&invoker, &perm, m, &mut labelled_so_far, ctx);
         let labelled = &perm[..m];
         let outcome = self_train(&features, labelled, &labels, cfg);
         let returned = learning_returned_set(&outcome, labelled, &labels);
-        let summary = precision_recall(&returned, &truth);
-        let meets = summary.meets(spec.alpha, spec.beta);
-        if meets {
-            return outcome_from(
-                returned, labelled, summary, &spec.cost, &invoker, start, true,
-            );
+        if precision_recall(&returned, &truth).meets(spec.alpha, spec.beta) {
+            return outcome_from(returned, labelled, table, &spec.cost, &invoker, start, true);
         }
-        last = Some((returned, m, summary));
+        last = Some((returned, m));
     }
     // Even full evaluation of the grid's maximum failed (possible only for
     // extreme constraints); report the last attempt, flagged infeasible.
-    let (returned, m, summary) = last.expect("grid is nonempty");
+    let (returned, m) = last.expect("grid is nonempty");
     outcome_from(
         returned,
         &perm[..m],
-        summary,
+        table,
         &spec.cost,
         &invoker,
         start,
@@ -166,13 +150,8 @@ pub fn run_learning_ctx(
 
 /// The `Multiple` baseline: multiple imputations from class probabilities;
 /// the training size is the smallest whose constraints hold *on average
-/// across the imputed datasets* (§6.2).
-pub fn run_multiple(ds: &Dataset, spec: &QuerySpec, imputations: usize, seed: u64) -> RunOutcome {
-    run_multiple_ctx(ds, spec, imputations, seed, &ExecContext::sequential())
-}
-
-/// [`run_multiple`] under an execution context (labelling as in
-/// [`run_learning_ctx`]).
+/// across the imputed datasets* (§6.2). Labelling runs as in
+/// [`run_learning_ctx`].
 pub fn run_multiple_ctx(
     ds: &Dataset,
     spec: &QuerySpec,
@@ -199,7 +178,7 @@ pub fn run_multiple_ctx(
     let cfg = baseline_train_config();
     let mut labelled_so_far = 0usize;
 
-    let mut last: Option<(Vec<usize>, usize, PrSummary)> = None;
+    let mut last: Option<(Vec<usize>, usize)> = None;
     for frac in SIZE_GRID {
         let m = ((frac * n as f64).ceil() as usize).clamp(1, n);
         let labels = label_prefix(&invoker, &perm, m, &mut labelled_so_far, ctx);
@@ -224,19 +203,16 @@ pub fn run_multiple_ctx(
         let mean_r = r_acc / imps.len() as f64;
         // The reported answer set: evaluated-true plus predicted-true.
         let returned = learning_returned_set(&outcome, labelled, &labels);
-        let summary = precision_recall(&returned, &truth);
         if mean_p >= spec.alpha && mean_r >= spec.beta {
-            return outcome_from(
-                returned, labelled, summary, &spec.cost, &invoker, start, true,
-            );
+            return outcome_from(returned, labelled, table, &spec.cost, &invoker, start, true);
         }
-        last = Some((returned, m, summary));
+        last = Some((returned, m));
     }
-    let (returned, m, summary) = last.expect("grid is nonempty");
+    let (returned, m) = last.expect("grid is nonempty");
     outcome_from(
         returned,
         &perm[..m],
-        summary,
+        table,
         &spec.cost,
         &invoker,
         start,
@@ -262,7 +238,7 @@ mod tests {
     fn learning_meets_constraints_and_reports_cost() {
         let ds = small_prosper();
         let spec = QuerySpec::paper_default();
-        let out = run_learning(&ds, &spec, 1);
+        let out = run_learning_ctx(&ds, &spec, 1, &ExecContext::sequential());
         assert!(out.plan_feasible, "learning should find a feasible size");
         assert!(out.summary.meets(spec.alpha, spec.beta));
         assert!(out.counts.evaluated > 0);
@@ -273,7 +249,7 @@ mod tests {
     fn multiple_meets_constraints() {
         let ds = small_prosper();
         let spec = QuerySpec::paper_default();
-        let out = run_multiple(&ds, &spec, 5, 2);
+        let out = run_multiple_ctx(&ds, &spec, 5, 2, &ExecContext::sequential());
         assert!(out.plan_feasible);
         assert!(out.counts.evaluated > 0);
     }
@@ -283,8 +259,12 @@ mod tests {
         let ds = small_prosper();
         let tight = QuerySpec::paper_default();
         let loose = QuerySpec::new(0.5, 0.5, 0.8, CostModel::PAPER_DEFAULT);
-        let c_tight = run_learning(&ds, &tight, 3).counts.evaluated;
-        let c_loose = run_learning(&ds, &loose, 3).counts.evaluated;
+        let c_tight = run_learning_ctx(&ds, &tight, 3, &ExecContext::sequential())
+            .counts
+            .evaluated;
+        let c_loose = run_learning_ctx(&ds, &loose, 3, &ExecContext::sequential())
+            .counts
+            .evaluated;
         assert!(c_loose <= c_tight, "loose {c_loose} vs tight {c_tight}");
     }
 
@@ -292,8 +272,8 @@ mod tests {
     fn deterministic_given_seed() {
         let ds = small_prosper();
         let spec = QuerySpec::paper_default();
-        let a = run_learning(&ds, &spec, 7);
-        let b = run_learning(&ds, &spec, 7);
+        let a = run_learning_ctx(&ds, &spec, 7, &ExecContext::sequential());
+        let b = run_learning_ctx(&ds, &spec, 7, &ExecContext::sequential());
         assert_eq!(a.counts, b.counts);
         assert_eq!(a.returned, b.returned);
     }

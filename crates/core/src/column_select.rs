@@ -42,26 +42,6 @@ pub struct ColumnScore {
 /// `label_fraction` is the initial sample size as a fraction of the table
 /// (the paper uses 1%); if no candidate has ≤ √t distinct values the
 /// sample is doubled, up to `max_rounds` times.
-pub fn rank_columns(
-    table: &Table,
-    candidates: &[String],
-    invoker: &UdfInvoker<'_>,
-    spec: &QuerySpec,
-    label_fraction: f64,
-    rng: &mut Prng,
-) -> (Vec<ColumnScore>, Vec<u32>) {
-    rank_columns_ctx(
-        table,
-        candidates,
-        invoker,
-        spec,
-        label_fraction,
-        rng,
-        &ExecContext::sequential(),
-    )
-}
-
-/// [`rank_columns`] under an execution context.
 #[allow(clippy::too_many_arguments)]
 pub fn rank_columns_ctx(
     table: &Table,
@@ -214,8 +194,15 @@ mod tests {
         let spec = QuerySpec::paper_default();
         let mut rng = Prng::seeded(11);
         let candidates = ds.candidate_columns();
-        let (scores, labelled) =
-            rank_columns(&ds.table, &candidates, &invoker, &spec, 0.01, &mut rng);
+        let (scores, labelled) = rank_columns_ctx(
+            &ds.table,
+            &candidates,
+            &invoker,
+            &spec,
+            0.01,
+            &mut rng,
+            &ExecContext::sequential(),
+        );
         assert!(!scores.is_empty());
         assert_eq!(labelled.len(), 300); // 1% of 30k
                                          // The designated predictor ("grade") or its high-fidelity noisy
@@ -238,13 +225,14 @@ mod tests {
         let invoker = UdfInvoker::new(&udf, &ds.table);
         let spec = QuerySpec::paper_default();
         let mut rng = Prng::seeded(12);
-        let (scores, _) = rank_columns(
+        let (scores, _) = rank_columns_ctx(
             &ds.table,
             &ds.candidate_columns(),
             &invoker,
             &spec,
             0.01,
             &mut rng,
+            &ExecContext::sequential(),
         );
         for w in scores.windows(2) {
             assert!(w[0].estimated_cost <= w[1].estimated_cost);
@@ -258,13 +246,14 @@ mod tests {
         let invoker = UdfInvoker::new(&udf, &ds.table);
         let spec = QuerySpec::paper_default();
         let mut rng = Prng::seeded(13);
-        let (_, labelled) = rank_columns(
+        let (_, labelled) = rank_columns_ctx(
             &ds.table,
             &ds.candidate_columns(),
             &invoker,
             &spec,
             0.01,
             &mut rng,
+            &ExecContext::sequential(),
         );
         assert_eq!(invoker.counts().evaluated as usize, labelled.len());
     }

@@ -753,10 +753,11 @@ mod tests {
         let ds = small_prosper(2);
         let engine = QueryEngine::new();
         let engine_out = engine.submit(&ds, &intel_query().with_seed(9)).unwrap();
-        let legacy = crate::pipeline::run_intel_sample(
+        let legacy = crate::pipeline::run_intel_sample_ctx(
             &ds,
             &IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into())),
             9,
+            &ExecContext::sequential(),
         );
         assert_eq!(engine_out.returned, legacy.returned);
         assert_eq!(engine_out.counts.evaluated, legacy.counts.evaluated);
@@ -782,7 +783,7 @@ mod tests {
             second.counts.reuse_hits > 0,
             "overlapping workload must reuse"
         );
-        let cold = crate::pipeline::run_naive(&ds, &spec, 2);
+        let cold = crate::pipeline::run_naive_ctx(&ds, &spec, 2, &ExecContext::sequential());
         assert_eq!(
             second.returned, cold.returned,
             "reuse must not change answers"

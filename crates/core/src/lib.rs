@@ -32,11 +32,11 @@
 //!   via the fallible [`QueryEngine::submit`] — invalid input surfaces
 //!   as a typed [`EngineError`] instead of a panic.
 //!
-//! Every pipeline entry point comes in two flavors: the legacy bare name
-//! (sequential, cache-less — the original audited behavior) and the
-//! primary `*_ctx(ctx)` variant taking one [`expred_exec::ExecContext`]
-//! (`ExecContext::new(executor)` routes probes through any backend). The
-//! first is a thin wrapper over the second; [`QueryEngine::submit`] is the
+//! Every pipeline and stage has one entry point, a `*_ctx(…, ctx)`
+//! function taking one [`expred_exec::ExecContext`]:
+//! `ExecContext::sequential()` is the one-at-a-time, cache-less run, and
+//! `ExecContext::new(executor)` routes probes through any backend with
+//! the same answers and bill. [`QueryEngine::submit`] is the
 //! session-level entry point over all of them.
 
 pub mod adaptive;
@@ -55,16 +55,11 @@ pub mod request;
 pub mod sampling;
 pub mod strategy;
 
-pub use adaptive::{
-    run_intel_sample_adaptive, run_intel_sample_adaptive_ctx, run_intel_sample_iterative,
-    run_intel_sample_iterative_ctx,
-};
-pub use baselines::{run_learning, run_learning_ctx, run_multiple, run_multiple_ctx};
+pub use adaptive::{run_intel_sample_adaptive_ctx, run_intel_sample_iterative_ctx};
+pub use baselines::{run_learning_ctx, run_multiple_ctx};
 pub use engine::{EngineStats, QueryEngine};
 pub use error::EngineError;
-pub use execute::{
-    execute_plan, execute_plan_ctx, execute_plan_with_planner, truth_vector, ExecutionResult,
-};
+pub use execute::{execute_plan_ctx, truth_vector, ExecutionResult};
 pub use optimize::{
     estimated_feasible, solve_estimated, solve_perfect_selectivities, CorrelationModel,
     EstimatedGroup, PlanError,
@@ -74,14 +69,11 @@ pub use persistence::PersistSessionStats;
 // `expred-persist` dependency.
 pub use expred_persist::{FsyncPolicy, PersistConfig, PersistError};
 pub use pipeline::{
-    run_intel_sample, run_intel_sample_ctx, run_naive, run_naive_ctx, run_optimal, run_optimal_ctx,
-    IntelSampleConfig, PredictorChoice, RunOutcome,
+    run_intel_sample_ctx, run_naive_ctx, run_optimal_ctx, IntelSampleConfig, PredictorChoice,
+    RunOutcome,
 };
 pub use plan::Plan;
 pub use query::QuerySpec;
 pub use request::{InfeasiblePolicy, QueryRequest};
-pub use sampling::{
-    adaptive_num_search, adaptive_num_search_ctx, sample_groups, sample_groups_ctx, GroupSample,
-    SampleSizeRule,
-};
+pub use sampling::{adaptive_num_search_ctx, sample_groups_ctx, GroupSample, SampleSizeRule};
 pub use strategy::{Fingerprint, Strategy, StrategyIdentity};

@@ -1,15 +1,17 @@
 //! End-to-end query pipelines (paper §6.2's contestants).
 //!
-//! * [`run_intel_sample`] — the paper's main algorithm: choose a predictor
-//!   column (fixed, auto-ranked, or an ML virtual column), sample to
-//!   estimate selectivities, solve the convex program, execute.
-//! * [`run_optimal`] — the unrealistic lower bound: exact selectivities
-//!   handed to the §3.2 optimizer for free.
-//! * [`run_naive`] — retrieve a random `β` fraction and evaluate all of it.
+//! * [`run_intel_sample_ctx`] — the paper's main algorithm: choose a
+//!   predictor column (fixed, auto-ranked, or an ML virtual column),
+//!   sample to estimate selectivities, solve the convex program, execute.
+//! * [`run_optimal_ctx`] — the unrealistic lower bound: exact
+//!   selectivities handed to the §3.2 optimizer for free.
+//! * [`run_naive_ctx`] — retrieve a random `β` fraction and evaluate all
+//!   of it.
 //!
 //! Every pipeline runs against the audited [`UdfInvoker`], so reported
 //! costs include sampling and predictor-selection evaluations, exactly as
-//! §6.2 requires.
+//! §6.2 requires. Each takes one [`ExecContext`]; pass
+//! [`ExecContext::sequential`] for the one-at-a-time, cache-less run.
 
 use crate::column_select::{rank_columns_ctx, virtual_column};
 use crate::execute::{execute_plan_ctx, truth_vector};
@@ -22,7 +24,7 @@ use expred_ml::metrics::{precision_recall, PrSummary};
 use expred_stats::rng::Prng;
 use expred_table::datasets::{Dataset, LABEL_COLUMN};
 use expred_table::{GroupBy, Table};
-use expred_udf::{BooleanUdf, CostCounts, OracleUdf, SlowUdf, UdfInvoker};
+use expred_udf::{BooleanUdf, CostCounts, CostModel, OracleUdf, SlowUdf, UdfInvoker};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -124,13 +126,6 @@ pub struct RunOutcome {
 
 /// Runs the paper's Intel-Sample pipeline on a dataset.
 ///
-/// Equivalent to [`run_intel_sample_ctx`] on [`ExecContext::sequential`].
-pub fn run_intel_sample(ds: &Dataset, cfg: &IntelSampleConfig, seed: u64) -> RunOutcome {
-    run_intel_sample_ctx(ds, cfg, seed, &ExecContext::sequential())
-}
-
-/// Runs Intel-Sample under an execution context.
-///
 /// For a fixed seed the outcome is byte-identical across backends: all
 /// randomness is drawn on the calling thread before batches dispatch.
 /// When the context carries a session cache store, one invoker — and
@@ -201,30 +196,19 @@ pub fn run_intel_sample_ctx(
 
     // Step 3: execute.
     let result = execute_plan_ctx(&plan, &groups, &invoker, &mut rng, ctx);
-    let compute_seconds = start.elapsed().as_secs_f64();
-
-    let truth = truth_vector(table, LABEL_COLUMN);
-    let returned_usize: Vec<usize> = result.returned.iter().map(|&r| r as usize).collect();
-    let summary = precision_recall(&returned_usize, &truth);
-    let counts = invoker.counts();
-    RunOutcome {
-        returned: result.returned,
-        counts,
-        cost: counts.cost(&cfg.spec.cost),
-        summary,
-        num_groups: groups.num_groups(),
-        compute_seconds,
+    finish_outcome(
+        start,
+        table,
+        result.returned,
+        &invoker,
+        &cfg.spec.cost,
+        groups.num_groups(),
         plan_feasible,
-    }
+    )
 }
 
 /// Runs the unrealistic `Optimal` baseline: exact selectivities are read
 /// from ground truth for free, then the §3.2 optimizer plans and executes.
-pub fn run_optimal(ds: &Dataset, spec: &QuerySpec, predictor: &str, seed: u64) -> RunOutcome {
-    run_optimal_ctx(ds, spec, predictor, seed, &ExecContext::sequential())
-}
-
-/// [`run_optimal`] under an execution context.
 pub fn run_optimal_ctx(
     ds: &Dataset,
     spec: &QuerySpec,
@@ -252,28 +236,19 @@ pub fn run_optimal_ctx(
         Err(_) => (Plan::evaluate_all(groups.num_groups()), false),
     };
     let result = execute_plan_ctx(&plan, &groups, &invoker, &mut rng, ctx);
-    let compute_seconds = start.elapsed().as_secs_f64();
-    let returned_usize: Vec<usize> = result.returned.iter().map(|&r| r as usize).collect();
-    let summary = precision_recall(&returned_usize, &truth);
-    let counts = invoker.counts();
-    RunOutcome {
-        returned: result.returned,
-        counts,
-        cost: counts.cost(&spec.cost),
-        summary,
-        num_groups: groups.num_groups(),
-        compute_seconds,
+    finish_outcome(
+        start,
+        table,
+        result.returned,
+        &invoker,
+        &spec.cost,
+        groups.num_groups(),
         plan_feasible,
-    }
+    )
 }
 
 /// Runs the `Naive` baseline: retrieve a uniform `β` fraction of the table
 /// and evaluate every retrieved tuple (§6.2).
-pub fn run_naive(ds: &Dataset, spec: &QuerySpec, seed: u64) -> RunOutcome {
-    run_naive_ctx(ds, spec, seed, &ExecContext::sequential())
-}
-
-/// [`run_naive`] under an execution context.
 pub fn run_naive_ctx(
     ds: &Dataset,
     spec: &QuerySpec,
@@ -296,6 +271,21 @@ pub fn run_naive_ctx(
         .map(|(row, _)| row as u32)
         .collect();
     returned.sort_unstable();
+    finish_outcome(start, table, returned, &invoker, &spec.cost, 1, true)
+}
+
+/// The tail every pipeline shares: stamps the compute time since
+/// `start`, scores `returned` against the hidden label column, and reads
+/// the invoker's audited bill under `cost`.
+pub(crate) fn finish_outcome(
+    start: Instant,
+    table: &Table,
+    returned: Vec<u32>,
+    invoker: &UdfInvoker<'_>,
+    cost: &CostModel,
+    num_groups: usize,
+    plan_feasible: bool,
+) -> RunOutcome {
     let compute_seconds = start.elapsed().as_secs_f64();
     let truth = truth_vector(table, LABEL_COLUMN);
     let returned_usize: Vec<usize> = returned.iter().map(|&r| r as usize).collect();
@@ -304,11 +294,11 @@ pub fn run_naive_ctx(
     RunOutcome {
         returned,
         counts,
-        cost: counts.cost(&spec.cost),
+        cost: counts.cost(cost),
         summary,
-        num_groups: 1,
+        num_groups,
         compute_seconds,
-        plan_feasible: true,
+        plan_feasible,
     }
 }
 
@@ -325,7 +315,7 @@ mod tests {
     fn naive_meets_recall_in_expectation_with_perfect_precision() {
         let ds = prosper();
         let spec = QuerySpec::paper_default();
-        let out = run_naive(&ds, &spec, 1);
+        let out = run_naive_ctx(&ds, &spec, 1, &ExecContext::sequential());
         assert_eq!(out.summary.precision, 1.0);
         assert!(
             (out.summary.recall - 0.8).abs() < 0.03,
@@ -342,8 +332,8 @@ mod tests {
     fn intel_sample_fixed_predictor_beats_naive() {
         let ds = prosper();
         let cfg = IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()));
-        let intel = run_intel_sample(&ds, &cfg, 2);
-        let naive = run_naive(&ds, &cfg.spec, 2);
+        let intel = run_intel_sample_ctx(&ds, &cfg, 2, &ExecContext::sequential());
+        let naive = run_naive_ctx(&ds, &cfg.spec, 2, &ExecContext::sequential());
         assert!(intel.plan_feasible, "plan must be feasible on Prosper");
         assert!(
             intel.counts.evaluated < naive.counts.evaluated,
@@ -360,7 +350,7 @@ mod tests {
         let mut ok = 0;
         let runs = 10;
         for seed in 0..runs {
-            let out = run_intel_sample(&ds, &cfg, 100 + seed);
+            let out = run_intel_sample_ctx(&ds, &cfg, 100 + seed, &ExecContext::sequential());
             if out.summary.meets(cfg.spec.alpha, cfg.spec.beta) {
                 ok += 1;
             }
@@ -374,8 +364,8 @@ mod tests {
         let ds = prosper();
         let spec = QuerySpec::paper_default();
         let cfg = IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()));
-        let optimal = run_optimal(&ds, &spec, "grade", 3);
-        let intel = run_intel_sample(&ds, &cfg, 3);
+        let optimal = run_optimal_ctx(&ds, &spec, "grade", 3, &ExecContext::sequential());
+        let intel = run_intel_sample_ctx(&ds, &cfg, 3, &ExecContext::sequential());
         assert!(optimal.plan_feasible);
         assert!(
             optimal.counts.evaluated <= intel.counts.evaluated,
@@ -391,8 +381,8 @@ mod tests {
         let cfg = IntelSampleConfig::experiment1(PredictorChoice::Auto {
             label_fraction: 0.01,
         });
-        let auto = run_intel_sample(&ds, &cfg, 4);
-        let naive = run_naive(&ds, &cfg.spec, 4);
+        let auto = run_intel_sample_ctx(&ds, &cfg, 4, &ExecContext::sequential());
+        let naive = run_naive_ctx(&ds, &cfg.spec, 4, &ExecContext::sequential());
         assert!(auto.counts.evaluated < naive.counts.evaluated);
     }
 
@@ -403,9 +393,9 @@ mod tests {
             buckets: 10,
             label_fraction: 0.01,
         });
-        let out = run_intel_sample(&ds, &cfg, 5);
+        let out = run_intel_sample_ctx(&ds, &cfg, 5, &ExecContext::sequential());
         assert!(out.num_groups >= 5);
-        let naive = run_naive(&ds, &cfg.spec, 5);
+        let naive = run_naive_ctx(&ds, &cfg.spec, 5, &ExecContext::sequential());
         assert!(out.counts.evaluated < naive.counts.evaluated);
     }
 
@@ -413,7 +403,7 @@ mod tests {
     fn compute_time_is_sub_second() {
         let ds = prosper();
         let cfg = IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()));
-        let out = run_intel_sample(&ds, &cfg, 6);
+        let out = run_intel_sample_ctx(&ds, &cfg, 6, &ExecContext::sequential());
         // Debug builds are slow; the paper's <1s claim is checked in the
         // release-mode experiment harness. Here: just sanity.
         assert!(out.compute_seconds < 30.0);

@@ -4,12 +4,12 @@
 //!   fraction (Experiment 1 uses 5%), a constant per group (§6.3's
 //!   `Constant(c)` scheme), or the paper's rule of thumb
 //!   `F_a = num · t_a · n^{-1/3}` (§4.3, the `Two-Third-Power` scheme).
-//! * [`sample_groups`] — draws and evaluates the sample through the
+//! * [`sample_groups_ctx`] — draws and evaluates the sample through the
 //!   audited invoker (sampling cost is *included* in the algorithm's cost,
 //!   §6.2), reusing any tuples that were already evaluated (e.g. the 1%
 //!   used for predictor selection — "the 1% labelled tuples can be re-used
 //!   for both selectivity estimation and as part of the output", §4.4).
-//! * [`adaptive_num_search`] — §4.3's adaptive scheme: grow `num`, re-plan,
+//! * [`adaptive_num_search_ctx`] — §4.3's adaptive scheme: grow `num`, re-plan,
 //!   and stop when the estimated total cost starts rising.
 
 use crate::optimize::{solve_estimated, CorrelationModel, EstimatedGroup};
@@ -80,18 +80,8 @@ impl GroupSample {
 /// rounds) count toward the target for free; only the shortfall incurs
 /// retrieval + evaluation cost. Estimates are Beta posteriors over *all*
 /// evaluated rows of the group.
-pub fn sample_groups(
-    groups: &GroupBy,
-    invoker: &UdfInvoker<'_>,
-    rule: SampleSizeRule,
-    rng: &mut Prng,
-) -> GroupSample {
-    sample_groups_ctx(groups, invoker, rule, rng, &ExecContext::sequential())
-}
-
-/// [`sample_groups`] under an execution context.
 ///
-/// Row selection consumes the RNG identically to the sequential path, and
+/// Row selection consumes the RNG identically on every backend, and
 /// every batched row is fresh and distinct, so estimates, counts, and
 /// charged costs are byte-identical across backends for a fixed seed.
 /// Rows known to the invoker — sampled earlier in this query *or*
@@ -164,17 +154,6 @@ pub struct AdaptiveOutcome {
 /// sample and re-solving ConvexProg 4.1; stop when the estimated total
 /// cost (sampling spent so far + planned execution) rises for two
 /// consecutive steps, returning the best state seen.
-pub fn adaptive_num_search(
-    groups: &GroupBy,
-    invoker: &UdfInvoker<'_>,
-    spec: &QuerySpec,
-    corr: CorrelationModel,
-    rng: &mut Prng,
-) -> AdaptiveOutcome {
-    adaptive_num_search_ctx(groups, invoker, spec, corr, rng, &ExecContext::sequential())
-}
-
-/// [`adaptive_num_search`] under an execution context.
 pub fn adaptive_num_search_ctx(
     groups: &GroupBy,
     invoker: &UdfInvoker<'_>,
@@ -265,7 +244,13 @@ mod tests {
         let invoker = UdfInvoker::new(&udf, &table);
         let groups = table.group_by("g").unwrap();
         let mut rng = Prng::seeded(5);
-        let sample = sample_groups(&groups, &invoker, SampleSizeRule::Constant(20), &mut rng);
+        let sample = sample_groups_ctx(
+            &groups,
+            &invoker,
+            SampleSizeRule::Constant(20),
+            &mut rng,
+            &ExecContext::sequential(),
+        );
         assert_eq!(sample.evaluated, vec![20, 20, 20]);
         let counts = invoker.counts();
         assert_eq!(counts.evaluated, 60);
@@ -287,7 +272,13 @@ mod tests {
         }
         let before = invoker.counts().evaluated;
         let mut rng = Prng::seeded(6);
-        let sample = sample_groups(&groups, &invoker, SampleSizeRule::Constant(10), &mut rng);
+        let sample = sample_groups_ctx(
+            &groups,
+            &invoker,
+            SampleSizeRule::Constant(10),
+            &mut rng,
+            &ExecContext::sequential(),
+        );
         // Group 0's target of 10 is fully covered by reuse.
         assert_eq!(invoker.counts().evaluated, before + 20);
         assert_eq!(sample.evaluated[0], 10);
@@ -300,7 +291,13 @@ mod tests {
         let invoker = UdfInvoker::new(&udf, &table);
         let groups = table.group_by("g").unwrap();
         let mut rng = Prng::seeded(7);
-        let sample = sample_groups(&groups, &invoker, SampleSizeRule::Fraction(1.0), &mut rng);
+        let sample = sample_groups_ctx(
+            &groups,
+            &invoker,
+            SampleSizeRule::Fraction(1.0),
+            &mut rng,
+            &ExecContext::sequential(),
+        );
         // Full sampling: estimates are posteriors over the whole group.
         for g in 0..3 {
             let pos = sample.positives[g];
@@ -318,7 +315,13 @@ mod tests {
         let invoker = UdfInvoker::new(&udf, &table);
         let groups = table.group_by("g").unwrap();
         let mut rng = Prng::seeded(8);
-        let sample = sample_groups(&groups, &invoker, SampleSizeRule::Constant(5), &mut rng);
+        let sample = sample_groups_ctx(
+            &groups,
+            &invoker,
+            SampleSizeRule::Constant(5),
+            &mut rng,
+            &ExecContext::sequential(),
+        );
         let est = sample.to_estimated_groups(&groups);
         assert_eq!(est.len(), 3);
         for g in &est {
@@ -336,12 +339,13 @@ mod tests {
         let groups = table.group_by("g").unwrap();
         let spec = QuerySpec::new(0.5, 0.5, 0.5, CostModel::PAPER_DEFAULT);
         let mut rng = Prng::seeded(9);
-        let outcome = adaptive_num_search(
+        let outcome = adaptive_num_search_ctx(
             &groups,
             &invoker,
             &spec,
             CorrelationModel::Independent,
             &mut rng,
+            &ExecContext::sequential(),
         );
         assert!(outcome.estimated_cost.is_finite());
         assert!(outcome.num > 0.0);

@@ -1,12 +1,13 @@
 //! Property tests for the core optimizers and executor.
 
-use expred_core::execute::execute_plan;
+use expred_core::execute::execute_plan_ctx;
 use expred_core::optimize::{
     estimated_feasible, solve_estimated, solve_perfect_selectivities, CorrelationModel,
     EstimatedGroup,
 };
 use expred_core::plan::Plan;
 use expred_core::query::QuerySpec;
+use expred_exec::ExecContext;
 use expred_stats::rng::Prng;
 use expred_table::{DataType, Field, GroupBy, Schema, Table, Value};
 use expred_udf::{CostModel, OracleUdf, UdfInvoker};
@@ -111,7 +112,8 @@ proptest! {
         let e = r * e_frac;
         let plan = Plan::new(vec![r], vec![e]);
         let mut rng = Prng::seeded(seed);
-        let result = execute_plan(&plan, &groups, &invoker, &mut rng);
+        let ctx = ExecContext::sequential();
+        let result = execute_plan_ctx(&plan, &groups, &invoker, &mut rng, &ctx);
         let counts = invoker.counts();
         // Everything evaluated was retrieved first.
         prop_assert!(counts.evaluated <= counts.retrieved);
@@ -149,7 +151,8 @@ proptest! {
         let udf = OracleUdf::new("label");
         let invoker = UdfInvoker::new(&udf, &table);
         let mut rng = Prng::seeded(1);
-        let result = execute_plan(&Plan::evaluate_all(1), &groups, &invoker, &mut rng);
+        let ctx = ExecContext::sequential();
+        let result = execute_plan_ctx(&Plan::evaluate_all(1), &groups, &invoker, &mut rng, &ctx);
         let want: Vec<u32> = labels
             .iter()
             .enumerate()

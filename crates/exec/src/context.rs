@@ -5,9 +5,9 @@
 //! executor, next a cache store, then a batch budget…). The context
 //! bundles all of it: which [`Executor`] evaluates batches, which
 //! [`CacheStore`] (if any) outlives the query, and the in-flight budget
-//! batch planners should respect. Legacy entry points simply run on
-//! [`ExecContext::sequential`], which reproduces the original
-//! one-at-a-time, cache-less behavior bit for bit.
+//! batch planners should respect. Every pipeline and stage takes one
+//! context; [`ExecContext::sequential`] is the one-at-a-time, cache-less
+//! run, and every other context returns the same answers and bill.
 
 use crate::adaptive::AdaptiveController;
 use crate::executor::{Executor, Sequential};
@@ -31,7 +31,10 @@ pub struct ExecContext<'a> {
     pub executor: &'a dyn Executor,
     /// The cross-query cache, if this query runs inside a session.
     pub cache: Option<&'a CacheStore>,
-    /// Cap on rows handed to one `evaluate_batch` call.
+    /// Cap on rows per drain slice of the planners built by
+    /// [`ExecContext::planner`] (plan execution). Batches a pipeline
+    /// hands to the executor directly — sampling, labelling, Naive's
+    /// `β` fraction — go over whole, whatever their size.
     pub max_in_flight: usize,
     /// Artificial per-evaluation latency pipelines should add to their
     /// UDFs — `None` for the real (instantaneous oracle) predicate.
@@ -71,7 +74,7 @@ impl<'a> ExecContext<'a> {
         }
     }
 
-    /// The legacy behavior: sequential, cache-less, default batching.
+    /// Sequential, cache-less, default batching: the one-at-a-time run.
     pub fn sequential() -> ExecContext<'static> {
         ExecContext::new(&SEQUENTIAL)
     }
@@ -135,6 +138,7 @@ impl std::fmt::Debug for ExecContext<'_> {
             .field("executor", &self.executor.name())
             .field("cached", &self.cache.is_some())
             .field("max_in_flight", &self.max_in_flight)
+            .field("udf_latency", &self.udf_latency)
             .field("adaptive", &self.adaptive.is_some())
             .field("derived", &self.derived.is_some())
             .field("selectivity", &self.selectivity.is_some())
@@ -174,6 +178,18 @@ mod tests {
         let copy = ctx; // Copy must hold: contexts are passed around freely.
         assert_eq!(copy.planner().max_in_flight(), 1);
         assert!(format!("{ctx:?}").contains("sequential"));
+    }
+
+    #[test]
+    fn debug_shows_injected_udf_latency() {
+        let plain = format!("{:?}", ExecContext::sequential());
+        let slow = format!(
+            "{:?}",
+            ExecContext::sequential().with_udf_latency(Duration::from_micros(100))
+        );
+        assert!(plain.contains("udf_latency: None"), "{plain}");
+        assert!(slow.contains("udf_latency: Some(100µs)"), "{slow}");
+        assert_ne!(plain, slow);
     }
 
     #[test]

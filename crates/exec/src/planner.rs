@@ -149,7 +149,7 @@ impl BatchPlanner {
 mod tests {
     use super::*;
     use crate::executor::Sequential;
-    use crate::parallel::Parallel;
+    use crate::pool::WorkerPool;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -208,7 +208,7 @@ mod tests {
         fill(&mut b);
         assert_eq!(
             a.drain(&probe, &Sequential),
-            b.drain(&probe, &Parallel::with_threads(4))
+            b.drain(&probe, &WorkerPool::with_threads(4))
         );
     }
 

@@ -1,18 +1,17 @@
 //! [`WorkerPool`]: a persistent, work-stealing [`Executor`] backend.
 //!
-//! [`crate::Parallel`] spawns fresh scoped threads on **every**
-//! `evaluate_batch` call and splits the batch into fixed contiguous
-//! chunks. That shape has two costs the paper's workloads actually pay:
+//! The obvious way to fan a batch out — spawn scoped threads on every
+//! `evaluate_batch` call and give each one fixed contiguous chunk — has
+//! two costs the paper's workloads actually pay:
 //!
 //! * a pipeline draining many small-to-medium correlation-group batches
-//!   pays thread-spawn latency (tens of µs per thread) *per batch* — so
-//!   `Parallel` protects itself with a `min_batch` floor and runs small
-//!   batches inline, forfeiting parallelism exactly where a 100µs UDF
-//!   would profit from it;
+//!   pays thread-spawn latency (tens of µs per thread) *per batch*, so
+//!   such a backend must run small batches inline and forfeits
+//!   parallelism exactly where a 100µs UDF would profit from it;
 //! * one fixed chunk per worker straggles on variable-latency probes: the
 //!   batch is as slow as its unluckiest chunk.
 //!
-//! The pool fixes both. N workers are spawned once and park on a condvar;
+//! The pool avoids both. N workers are spawned once and park on a condvar;
 //! a batch is published as one shared job with an **atomic chunk cursor**
 //! from which workers (and the calling thread — it always participates)
 //! *steal* variable-size chunks: guided self-scheduling, `remaining /
@@ -25,8 +24,8 @@
 //! The pool also keeps a per-probe latency estimate (an embedded
 //! [`AdaptiveController`] — the same estimator the batch planner uses):
 //! batches whose *estimated total work* is below the dispatch cost run
-//! inline on the caller instead of waking workers. Unlike `Parallel`'s
-//! fixed row-count floor this is latency-aware — eight 100µs probes fan
+//! inline on the caller instead of waking workers. Unlike a fixed
+//! row-count floor this is latency-aware — eight 100µs probes fan
 //! out (they carry 800µs of work), eight 1µs probes run inline (waking
 //! workers costs more than the 8µs of work). The inline path hedges
 //! against a stale estimate: if a supposedly-cheap batch overruns a
@@ -418,7 +417,7 @@ mod tests {
     fn matches_sequential_exactly() {
         let probe = |row: usize| (row * 2654435761) % 7 < 3;
         let rows: Vec<usize> = (0..1000).rev().collect();
-        for threads in [1, 2, 3, 8] {
+        for threads in [1, 2, 3, 8, 64] {
             let pool = WorkerPool::with_threads(threads);
             for _ in 0..3 {
                 assert_eq!(

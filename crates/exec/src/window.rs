@@ -1,9 +1,9 @@
 //! The [`InFlightWindow`] backend: a bounded window of concurrently
 //! outstanding probes with out-of-order completion.
 //!
-//! [`crate::Parallel`] shards a batch into contiguous chunks, which is
-//! right for CPU-bound probes but wrong for *remote* ones: one slow tail
-//! call parks its whole chunk while other workers idle. This backend
+//! [`crate::WorkerPool`] hands its workers chunks of rows, which is right
+//! for CPU-bound probes but wrong for *remote* ones: one slow tail call
+//! parks the rest of its chunk while other workers idle. This backend
 //! instead keeps exactly `window` probes outstanding at all times — each
 //! worker claims the next unclaimed batch slot from an atomic cursor the
 //! moment its previous probe answers, so completion order is whatever

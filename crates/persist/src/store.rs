@@ -1069,7 +1069,9 @@ mod tests {
         // Once the directory is back, the next request succeeds — the
         // recorded failure covers only the tickets it answered.
         fs::create_dir_all(&dir).unwrap();
-        store.compact().expect("compaction works once the dir is back");
+        store
+            .compact()
+            .expect("compaction works once the dir is back");
         assert_eq!(store.stats().compactions, 1);
         drop(store);
         let _ = fs::remove_dir_all(&dir);

@@ -46,7 +46,7 @@
 use crate::cost::CostTracker;
 use crate::invoker::UdfInvoker;
 use crate::udf::{BooleanUdf, UdfId};
-use expred_exec::{ExecContext, Executor};
+use expred_exec::ExecContext;
 use expred_table::Table;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -486,17 +486,6 @@ pub fn evaluate_expr_batch_ctx(
     ))
 }
 
-/// [`evaluate_expr_batch_ctx`] on a bare executor (no session cache).
-pub fn evaluate_expr_batch(
-    expr: &PredicateExpr,
-    table: &Table,
-    rows: &[usize],
-    tracker: &CostTracker,
-    executor: &dyn Executor,
-) -> Result<Vec<bool>, InvalidCostsError> {
-    evaluate_expr_batch_ctx(expr, table, rows, tracker, &ExecContext::new(executor))
-}
-
 fn eval_node(
     node: &Node,
     pinned: bool,
@@ -611,8 +600,9 @@ mod tests {
             (leaf("a").or(leaf("b")).not(), Box::new(|x, y| !(x || y))),
         ];
         for (expr, want) in cases {
-            let got = evaluate_expr_batch(&expr, &t, &rows, &tracker, &expred_exec::Sequential)
-                .expect("valid costs");
+            let got =
+                evaluate_expr_batch_ctx(&expr, &t, &rows, &tracker, &ExecContext::sequential())
+                    .expect("valid costs");
             let expect: Vec<bool> = a.iter().zip(&b).map(|(&x, &y)| want(x, y)).collect();
             assert_eq!(got, expect, "{expr:?}");
             // Per-row evaluation (the BooleanUdf view) agrees.
@@ -635,10 +625,13 @@ mod tests {
                 .and(Pred::udf_with_cost(OracleUdf::new("cheap"), 1.0)),
             Pred::udf_with_cost(OracleUdf::new("cheap"), 1.0)
                 .and(Pred::udf_with_cost(OracleUdf::new("pricey"), 10.0)),
+            // Equal declared costs keep the written order, stage by stage.
+            leaf("cheap").and(leaf("pricey")),
         ] {
             let tracker = CostTracker::new();
-            let answers = evaluate_expr_batch(&expr, &t, &rows, &tracker, &expred_exec::Sequential)
-                .expect("valid costs");
+            let answers =
+                evaluate_expr_batch_ctx(&expr, &t, &rows, &tracker, &ExecContext::sequential())
+                    .expect("valid costs");
             let want: Vec<bool> = cheap_vals
                 .iter()
                 .zip(&pricey_vals)
@@ -659,8 +652,9 @@ mod tests {
         let expr = Pred::udf_with_cost(OracleUdf::new("pricey"), 10.0)
             .or(Pred::udf_with_cost(OracleUdf::new("cheap"), 1.0));
         let tracker = CostTracker::new();
-        let answers = evaluate_expr_batch(&expr, &t, &rows, &tracker, &expred_exec::Sequential)
-            .expect("valid costs");
+        let answers =
+            evaluate_expr_batch_ctx(&expr, &t, &rows, &tracker, &ExecContext::sequential())
+                .expect("valid costs");
         assert_eq!(answers, vec![true, true, true, false]);
         // 4 cheap probes; only the 2 cheap-rejected rows reach pricey.
         assert_eq!(tracker.snapshot().evaluated, 4 + 2);
@@ -676,7 +670,7 @@ mod tests {
         let rows: Vec<usize> = (0..2).collect();
         let nan = Pred::udf_with_cost(OracleUdf::new("a"), f64::NAN).and(leaf("b"));
         let tracker = CostTracker::new();
-        let err = evaluate_expr_batch(&nan, &t, &rows, &tracker, &expred_exec::Sequential)
+        let err = evaluate_expr_batch_ctx(&nan, &t, &rows, &tracker, &ExecContext::sequential())
             .expect_err("NaN cost must be rejected");
         assert_eq!(err, InvalidCostsError);
         assert_eq!(tracker.snapshot().evaluated, 0, "no money was spent");
@@ -816,26 +810,28 @@ mod tests {
 
     #[test]
     fn backends_agree() {
-        let n = 200;
+        let n = 500;
         let a: Vec<bool> = (0..n).map(|i| i % 3 != 0).collect();
         let b: Vec<bool> = (0..n).map(|i| i % 5 != 0).collect();
         let c: Vec<bool> = (0..n).map(|i| i % 7 == 0).collect();
         let t = table(&[("a", &a), ("b", &b), ("c", &c)]);
         let rows: Vec<usize> = (0..n).rev().collect();
-        let expr = leaf("a").and(leaf("b").or(leaf("c").not())).or(leaf("c"));
-        let seq_tracker = CostTracker::new();
-        let want = evaluate_expr_batch(&expr, &t, &rows, &seq_tracker, &expred_exec::Sequential)
-            .expect("valid costs");
-        let par_tracker = CostTracker::new();
-        let got = evaluate_expr_batch(
-            &expr,
-            &t,
-            &rows,
-            &par_tracker,
-            &expred_exec::Parallel::with_threads(4),
-        )
-        .expect("valid costs");
-        assert_eq!(want, got);
-        assert_eq!(seq_tracker.snapshot(), par_tracker.snapshot());
+        let pool = expred_exec::WorkerPool::with_threads(4);
+        for expr in [
+            leaf("a").and(leaf("b").or(leaf("c").not())).or(leaf("c")),
+            // A plain two-stage conjunction, as `ConjunctionUdf` chains.
+            leaf("a").and(leaf("b")),
+        ] {
+            let seq_tracker = CostTracker::new();
+            let want =
+                evaluate_expr_batch_ctx(&expr, &t, &rows, &seq_tracker, &ExecContext::sequential())
+                    .expect("valid costs");
+            let pool_tracker = CostTracker::new();
+            let got =
+                evaluate_expr_batch_ctx(&expr, &t, &rows, &pool_tracker, &ExecContext::new(&pool))
+                    .expect("valid costs");
+            assert_eq!(want, got, "{expr:?}");
+            assert_eq!(seq_tracker.snapshot(), pool_tracker.snapshot(), "{expr:?}");
+        }
     }
 }

@@ -389,7 +389,7 @@ mod tests {
 
         for executor in [
             &expred_exec::Sequential as &dyn Executor,
-            &expred_exec::Parallel::with_threads(4),
+            &expred_exec::WorkerPool::with_threads(4),
         ] {
             let batch_inv = UdfInvoker::new(&udf, &t);
             let batch_answers = batch_inv.evaluate_batch(executor, &rows);

@@ -38,8 +38,7 @@ pub mod udf;
 
 pub use cost::{CostCounts, CostModel, CostTracker};
 pub use expr::{
-    evaluate_expr_batch, evaluate_expr_batch_ctx, InvalidCostsError, Pred, PredicateExpr,
-    DEFAULT_LEAF_COST,
+    evaluate_expr_batch_ctx, InvalidCostsError, Pred, PredicateExpr, DEFAULT_LEAF_COST,
 };
 pub use invoker::{cache_namespace, UdfInvoker};
 pub use optimize::optimize_expr;

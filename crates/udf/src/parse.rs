@@ -364,8 +364,9 @@ impl<'a> Parser<'a, '_> {
 mod tests {
     use super::*;
     use crate::cost::CostTracker;
-    use crate::expr::{evaluate_expr_batch, Pred};
+    use crate::expr::{evaluate_expr_batch_ctx, Pred};
     use crate::udf::BooleanUdf;
+    use expred_exec::ExecContext;
     use expred_table::{DataType, Field, Schema, Table, Value};
 
     fn parse(input: &str) -> Result<PredicateExpr, ParseError> {
@@ -472,8 +473,14 @@ mod tests {
         let t = Table::from_rows(schema, rows).unwrap();
         let expr = combinator("a and not b");
         let tracker = CostTracker::new();
-        let got = evaluate_expr_batch(&expr, &t, &[0, 1, 2, 3], &tracker, &expred_exec::Sequential)
-            .unwrap();
+        let got = evaluate_expr_batch_ctx(
+            &expr,
+            &t,
+            &[0, 1, 2, 3],
+            &tracker,
+            &ExecContext::sequential(),
+        )
+        .unwrap();
         assert_eq!(got, vec![false, true, false, false]);
         assert_eq!(BooleanUdf::required_columns(&expr), vec!["a", "b"]);
     }

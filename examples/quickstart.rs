@@ -2,16 +2,16 @@
 //! hand-built table.
 //!
 //! ```text
-//! cargo run --release --example quickstart [-- --parallel | --pool]
+//! cargo run --release --example quickstart [-- --pool]
 //! ```
 //!
 //! The query is the paper's running example: `SELECT * FROM R WHERE
 //! f(ID) = 1` with three groups of customers whose attribute `A`
 //! correlates with the (expensive) credit check `f`. We ask for 90%
 //! precision and recall with 90% confidence, and compare the cost against
-//! evaluating the UDF on every tuple. With `--parallel`, UDF probes run
-//! through the `expred-exec` parallel backend — same answer and same
-//! bill, batched across worker threads.
+//! evaluating the UDF on every tuple. With `--pool`, UDF probes run
+//! through the `expred-exec` worker pool — same answer and same bill,
+//! batched across worker threads.
 
 use expred::cli::ExampleCli;
 use expred::core::{

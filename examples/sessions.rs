@@ -1,7 +1,7 @@
 //! Sessions: many queries, one cache — the second query is (nearly) free.
 //!
 //! ```text
-//! cargo run --release --example sessions [-- --parallel | --pool]
+//! cargo run --release --example sessions [-- --pool]
 //! ```
 //!
 //! A `QueryEngine` owns an executor backend and a cross-query

@@ -11,7 +11,8 @@
 //! plan against the fixed real predictor.
 
 use expred::cli::ExampleCli;
-use expred::core::{run_intel_sample, truth_vector, IntelSampleConfig, PredictorChoice};
+use expred::core::{run_intel_sample_ctx, truth_vector, IntelSampleConfig, PredictorChoice};
+use expred::exec::ExecContext;
 use expred::table::datasets::{Dataset, LABEL_COLUMN, MARKETING};
 
 fn main() {
@@ -35,8 +36,8 @@ fn main() {
         label_fraction: 0.01,
     });
 
-    let fixed = run_intel_sample(&ds, &fixed_cfg, 5);
-    let virt = run_intel_sample(&ds, &virtual_cfg, 5);
+    let fixed = run_intel_sample_ctx(&ds, &fixed_cfg, 5, &ExecContext::sequential());
+    let virt = run_intel_sample_ctx(&ds, &virtual_cfg, 5, &ExecContext::sequential());
 
     println!(
         "\n{:<22} {:>12} {:>10} {:>10}",

@@ -1,8 +1,8 @@
 //! Shared command-line plumbing for the workspace examples.
 //!
-//! Every runnable example used to hand-roll the same `--parallel` /
-//! `--pool` flag scan; this module is the one copy. It also gives every
-//! example a `--help` screen for free:
+//! Every runnable example used to hand-roll the same backend-flag scan;
+//! this module is the one copy. It also gives every example a `--help`
+//! screen for free:
 //!
 //! ```no_run
 //! let backend = expred::cli::ExampleCli::new("quickstart", "the paper's running example")
@@ -12,7 +12,7 @@
 //! ```
 
 use expred_core::QueryEngine;
-use expred_exec::{Executor, Parallel, Sequential, WorkerPool};
+use expred_exec::{Executor, Sequential, WorkerPool};
 
 /// Which executor backend an example should run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -20,8 +20,6 @@ pub enum Backend {
     /// One probe at a time on the calling thread (the default).
     #[default]
     Sequential,
-    /// Scoped threads spawned per batch (`--parallel`).
-    Parallel,
     /// The persistent work-stealing worker pool (`--pool`).
     Pool,
 }
@@ -31,12 +29,8 @@ impl Backend {
     pub fn banner(self) -> String {
         match self {
             Backend::Sequential => {
-                "executor backend: sequential (pass --parallel or --pool to fan out)".to_owned()
+                "executor backend: sequential (pass --pool to fan out)".to_owned()
             }
-            Backend::Parallel => format!(
-                "executor backend: parallel ({} threads)",
-                Parallel::new().threads()
-            ),
             Backend::Pool => format!(
                 "executor backend: worker_pool ({} persistent workers)",
                 WorkerPool::new().threads()
@@ -48,7 +42,6 @@ impl Backend {
     pub fn executor(self) -> Box<dyn Executor> {
         match self {
             Backend::Sequential => Box::new(Sequential),
-            Backend::Parallel => Box::new(Parallel::new()),
             Backend::Pool => Box::new(WorkerPool::new()),
         }
     }
@@ -64,12 +57,12 @@ impl Backend {
 pub struct ExampleCli {
     name: &'static str,
     about: &'static str,
-    /// Whether `--parallel` / `--pool` are meaningful for this example.
+    /// Whether `--pool` is meaningful for this example.
     backend_flags: bool,
 }
 
 impl ExampleCli {
-    /// Declares an example that accepts the backend flags.
+    /// Declares an example that accepts the backend flag.
     pub fn new(name: &'static str, about: &'static str) -> Self {
         Self {
             name,
@@ -78,7 +71,7 @@ impl ExampleCli {
         }
     }
 
-    /// Declares an example with no backend flags (still gets `--help`).
+    /// Declares an example with no backend flag (still gets `--help`).
     pub fn without_backend_flags(name: &'static str, about: &'static str) -> Self {
         Self {
             backend_flags: false,
@@ -94,8 +87,7 @@ impl ExampleCli {
         );
         if self.backend_flags {
             usage.push_str(
-                "  --parallel  fan UDF probes out across scoped worker threads\n\
-                 \x20 --pool      run probes through the persistent work-stealing WorkerPool\n",
+                "  --pool      run probes through the persistent work-stealing WorkerPool\n",
             );
         }
         usage.push_str("  --help      show this message");
@@ -103,8 +95,7 @@ impl ExampleCli {
     }
 
     /// Parses `std::env::args`: prints usage and exits on `--help` (or on
-    /// an unknown flag), and returns the chosen backend (`--pool` wins
-    /// over `--parallel`, matching the examples' historical precedence).
+    /// an unknown flag), and returns the chosen backend.
     pub fn parse_backend(&self) -> Backend {
         let mut backend = Backend::Sequential;
         for arg in std::env::args().skip(1) {
@@ -114,10 +105,6 @@ impl ExampleCli {
                     std::process::exit(0);
                 }
                 "--pool" if self.backend_flags => backend = Backend::Pool,
-                "--parallel" if self.backend_flags && backend != Backend::Pool => {
-                    backend = Backend::Parallel
-                }
-                "--parallel" if self.backend_flags => {}
                 other => {
                     eprintln!("unknown flag {other:?}\n\n{}", self.usage());
                     std::process::exit(2);

@@ -16,8 +16,10 @@
 //!   runs never panics nor causes a wrong answer afterward.
 
 use expred::core::{
-    run_naive, IntelSampleConfig, PredictorChoice, QueryEngine, QueryRequest, QuerySpec, RunOutcome,
+    run_naive_ctx, IntelSampleConfig, PredictorChoice, QueryEngine, QueryRequest, QuerySpec,
+    RunOutcome,
 };
+use expred::exec::ExecContext;
 use expred::table::datasets::{Dataset, DatasetSpec, PROSPER};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -65,7 +67,13 @@ fn concurrent_mix_is_byte_identical_to_serial_reference_and_conserves_the_bill()
         .map(|t| {
             thread_mix(t)
                 .into_iter()
-                .map(|(spec, seed)| (spec, seed, run_naive(&ds, &spec, seed)))
+                .map(|(spec, seed)| {
+                    (
+                        spec,
+                        seed,
+                        run_naive_ctx(&ds, &spec, seed, &ExecContext::sequential()),
+                    )
+                })
                 .collect()
         })
         .collect();
@@ -227,7 +235,9 @@ fn clear_caches_races_in_flight_runs_without_panics_or_stale_serves() {
     let engine = QueryEngine::new();
     let spec = QuerySpec::paper_default();
     // Serial references for every identity the workers will submit.
-    let references: Vec<RunOutcome> = (0..4).map(|s| run_naive(&ds, &spec, s)).collect();
+    let references: Vec<RunOutcome> = (0..4)
+        .map(|s| run_naive_ctx(&ds, &spec, s, &ExecContext::sequential()))
+        .collect();
 
     // Count workers still running, so the clear hammer races the *whole*
     // concurrent window, not just until the fastest worker finishes.
@@ -283,7 +293,7 @@ fn one_engine_is_shareable_from_owned_threads_via_arc() {
     let ds = Arc::new(prosper(5));
     let engine = Arc::new(QueryEngine::new());
     let spec = QuerySpec::paper_default();
-    let reference = run_naive(&ds, &spec, 1);
+    let reference = run_naive_ctx(&ds, &spec, 1, &ExecContext::sequential());
     let handles: Vec<_> = (0..THREADS)
         .map(|_| {
             let (engine, ds) = (Arc::clone(&engine), Arc::clone(&ds));

@@ -10,10 +10,10 @@
 //!   pipelines (cold engine == legacy entry point).
 
 use expred::core::{
-    run_intel_sample, run_learning, run_naive, IntelSampleConfig, PredictorChoice, QueryEngine,
-    QueryRequest, QuerySpec,
+    run_intel_sample_ctx, run_learning_ctx, run_naive_ctx, IntelSampleConfig, PredictorChoice,
+    QueryEngine, QueryRequest, QuerySpec,
 };
-use expred::exec::Parallel;
+use expred::exec::{ExecContext, WorkerPool};
 use expred::table::datasets::{Dataset, DatasetSpec, PROSPER};
 
 fn small_prosper(seed: u64) -> Dataset {
@@ -85,7 +85,7 @@ fn overlapping_workload_pays_only_for_fresh_rows() {
     let warm = engine
         .submit(&ds, &QueryRequest::naive(spec).with_seed(2))
         .unwrap();
-    let cold = run_naive(&ds, &spec, 2);
+    let cold = run_naive_ctx(&ds, &spec, 2, &ExecContext::sequential());
     assert_eq!(
         warm.returned, cold.returned,
         "reuse must not change answers"
@@ -110,7 +110,7 @@ fn cold_engine_is_byte_identical_to_legacy_pipelines() {
     for seed in [3u64, 19] {
         let engine = QueryEngine::new();
         let engine_out = engine.submit(&ds, &intel("grade").with_seed(seed)).unwrap();
-        let legacy = run_intel_sample(&ds, &cfg, seed);
+        let legacy = run_intel_sample_ctx(&ds, &cfg, seed, &ExecContext::sequential());
         assert_eq!(engine_out.returned, legacy.returned);
         assert_eq!(engine_out.cost, legacy.cost);
         assert_eq!(engine_out.summary, legacy.summary);
@@ -122,7 +122,7 @@ fn cold_engine_is_byte_identical_to_legacy_pipelines() {
 
 #[test]
 fn session_reuse_is_backend_invariant() {
-    // The same two-query session on Sequential and Parallel engines must
+    // The same two-query session on Sequential and WorkerPool engines must
     // produce identical outcomes and identical bills.
     let ds = small_prosper(5);
     let spec = QuerySpec::paper_default();
@@ -134,7 +134,7 @@ fn session_reuse_is_backend_invariant() {
         (a, b)
     };
     let seq = QueryEngine::new();
-    let par = QueryEngine::with_executor(Box::new(Parallel::with_threads(4)));
+    let par = QueryEngine::with_executor(Box::new(WorkerPool::with_threads(4)));
     let (a_seq, b_seq) = run_session(&seq);
     let (a_par, b_par) = run_session(&par);
     assert_eq!(a_seq.returned, a_par.returned);
@@ -150,7 +150,7 @@ fn ml_baseline_reuses_labels_from_earlier_queries() {
     // that already evaluated much of the table makes its seed cheaper.
     let ds = small_prosper(6);
     let spec = QuerySpec::paper_default();
-    let cold = run_learning(&ds, &spec, 11);
+    let cold = run_learning_ctx(&ds, &spec, 11, &ExecContext::sequential());
 
     let engine = QueryEngine::new();
     engine

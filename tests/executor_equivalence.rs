@@ -1,5 +1,5 @@
-//! Backend-equivalence suite: the `Parallel` and `WorkerPool` executors
-//! must be exact drop-ins for `Sequential` — identical result sets,
+//! Backend-equivalence suite: the `WorkerPool` executor, at every width,
+//! must be an exact drop-in for `Sequential` — identical result sets,
 //! identical accuracy metrics, identical audited costs — for every
 //! pipeline, on the bundled datasets, under fixed seeds, and regardless
 //! of how the adaptive controller slices drains. Only wall-clock time
@@ -11,47 +11,47 @@ use expred::core::{
     IntelSampleConfig, PredictorChoice, QueryEngine, QueryRequest, QuerySpec, RunOutcome,
     SampleSizeRule,
 };
-use expred::exec::{AdaptiveController, ExecContext, Executor, Parallel, Sequential, WorkerPool};
+use expred::exec::{AdaptiveController, ExecContext, Executor, Sequential, WorkerPool};
 use expred::table::datasets::{Dataset, DatasetSpec, LENDING_CLUB, PROSPER};
 
 fn small(spec: DatasetSpec, rows: usize, seed: u64) -> Dataset {
     Dataset::generate(DatasetSpec { rows, ..spec }, seed)
 }
 
-/// Backends under test: inline, oversubscribed, machine-sized, and the
-/// persistent work-stealing pool at several widths.
+/// Backends under test: the persistent work-stealing pool at a single
+/// worker, several small and oversubscribed widths, and machine-sized.
 fn backends() -> Vec<Box<dyn Executor>> {
     vec![
-        Box::new(Parallel::with_threads(2)),
-        Box::new(Parallel::with_threads(7)),
-        Box::new(Parallel::new()),
+        Box::new(WorkerPool::with_threads(1)),
         Box::new(WorkerPool::with_threads(2)),
+        Box::new(WorkerPool::with_threads(3)),
         Box::new(WorkerPool::with_threads(5)),
+        Box::new(WorkerPool::with_threads(7)),
         Box::new(WorkerPool::new()),
     ]
 }
 
 #[track_caller]
-fn assert_identical(sequential: &RunOutcome, parallel: &RunOutcome, what: &str) {
+fn assert_identical(sequential: &RunOutcome, threaded: &RunOutcome, what: &str) {
     assert_eq!(
-        sequential.returned, parallel.returned,
+        sequential.returned, threaded.returned,
         "{what}: result sets differ"
     );
     assert_eq!(
-        sequential.counts, parallel.counts,
+        sequential.counts, threaded.counts,
         "{what}: audited action counts differ"
     );
-    assert_eq!(sequential.cost, parallel.cost, "{what}: costs differ");
+    assert_eq!(sequential.cost, threaded.cost, "{what}: costs differ");
     assert_eq!(
-        sequential.summary, parallel.summary,
+        sequential.summary, threaded.summary,
         "{what}: precision/recall differ"
     );
     assert_eq!(
-        sequential.num_groups, parallel.num_groups,
+        sequential.num_groups, threaded.num_groups,
         "{what}: group counts differ"
     );
     assert_eq!(
-        sequential.plan_feasible, parallel.plan_feasible,
+        sequential.plan_feasible, threaded.plan_feasible,
         "{what}: feasibility verdicts differ"
     );
 }
@@ -261,7 +261,7 @@ fn legacy_entry_points_equal_sequential_with() {
     // The parameterless API must stay exactly what it was: Sequential.
     let ds = small(PROSPER, 3_000, 7);
     let cfg = IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()));
-    let legacy = expred::core::run_intel_sample(&ds, &cfg, 11);
+    let legacy = expred::core::run_intel_sample_ctx(&ds, &cfg, 11, &ExecContext::sequential());
     let explicit = run_intel_sample_ctx(&ds, &cfg, 11, &ExecContext::new(&Sequential));
     assert_identical(&legacy, &explicit, "legacy intel-sample");
 }

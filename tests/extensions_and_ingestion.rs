@@ -6,8 +6,9 @@ use expred::core::extensions::{
 };
 use expred::core::optimize::CorrelationModel;
 use expred::core::{
-    run_intel_sample, IntelSampleConfig, PredictorChoice, QuerySpec, SampleSizeRule,
+    run_intel_sample_ctx, IntelSampleConfig, PredictorChoice, QuerySpec, SampleSizeRule,
 };
+use expred::exec::ExecContext;
 use expred::table::csv::{read_csv, write_csv};
 use expred::table::datasets::{Dataset, DatasetSpec, PROSPER};
 use expred::udf::CostModel;
@@ -134,8 +135,8 @@ fn csv_round_trip_preserves_pipeline_behaviour() {
         corr: CorrelationModel::Independent,
         predictor: PredictorChoice::Fixed("grade".into()),
     };
-    let a = run_intel_sample(&ds, &cfg, 77);
-    let b = run_intel_sample(&ds2, &cfg, 77);
+    let a = run_intel_sample_ctx(&ds, &cfg, 77, &ExecContext::sequential());
+    let b = run_intel_sample_ctx(&ds2, &cfg, 77, &ExecContext::sequential());
     assert_eq!(a.counts, b.counts, "ingested data must behave identically");
     assert_eq!(a.returned, b.returned);
 }
