@@ -87,6 +87,10 @@ impl GroupSample {
 /// Rows known to the invoker — sampled earlier in this query *or*
 /// evaluated by a previous query sharing the session cache — count toward
 /// the target for free.
+///
+/// Every group's shortfall is drawn first, in group order, then paid for
+/// in one batch: one round of overlapped UDF calls per pass, not one per
+/// group. Groups partition the rows, so no draw depends on an answer.
 pub fn sample_groups_ctx(
     groups: &GroupBy,
     invoker: &UdfInvoker<'_>,
@@ -95,42 +99,49 @@ pub fn sample_groups_ctx(
     ctx: &ExecContext<'_>,
 ) -> GroupSample {
     let n = groups.num_rows();
-    let mut estimates = Vec::with_capacity(groups.num_groups());
     let mut evaluated = Vec::with_capacity(groups.num_groups());
     let mut positives = Vec::with_capacity(groups.num_groups());
+    // Each group's slice of `batch`, whose answers are counted afterwards.
+    let mut drawn = Vec::with_capacity(groups.num_groups());
+    let mut batch: Vec<usize> = Vec::new();
     for (g, _, rows) in groups.iter() {
         let target = rule.sample_size(groups.size(g), n);
         // Free information first: rows already evaluated.
-        let mut known: Vec<u32> = rows
-            .iter()
-            .copied()
-            .filter(|&r| invoker.is_evaluated(r as usize))
-            .collect();
-        if known.len() < target {
+        let (mut known, mut pos) = (0usize, 0u64);
+        for &r in rows {
+            if let Some(answer) = invoker.memoized(r as usize) {
+                known += 1;
+                pos += answer as u64;
+            }
+        }
+        let start = batch.len();
+        if known < target {
             // Pay for the shortfall with fresh random rows.
             let fresh: Vec<u32> = rows
                 .iter()
                 .copied()
                 .filter(|&r| !invoker.is_evaluated(r as usize))
                 .collect();
-            let need = target - known.len();
-            let batch: Vec<usize> = rng
-                .sample_indices(fresh.len(), need)
-                .into_iter()
-                .map(|idx| fresh[idx] as usize)
-                .collect();
-            invoker.retrieve_and_evaluate_batch(ctx.executor, &batch);
-            known.extend(batch.into_iter().map(|row| row as u32));
+            let need = target - known;
+            batch.extend(
+                rng.sample_indices(fresh.len(), need)
+                    .into_iter()
+                    .map(|idx| fresh[idx] as usize),
+            );
         }
-        let pos = known
-            .iter()
-            .filter(|&&r| invoker.memoized(r as usize) == Some(true))
-            .count() as u64;
-        let total = known.len() as u64;
-        estimates.push(SelectivityEstimate::from_sample(pos, total));
-        evaluated.push(total);
+        evaluated.push((known + batch.len() - start) as u64);
         positives.push(pos);
+        drawn.push(start..batch.len());
     }
+    let answers = invoker.retrieve_and_evaluate_batch(ctx.executor, &batch);
+    for (pos, range) in positives.iter_mut().zip(drawn) {
+        *pos += answers[range].iter().filter(|&&a| a).count() as u64;
+    }
+    let estimates = positives
+        .iter()
+        .zip(&evaluated)
+        .map(|(&pos, &total)| SelectivityEstimate::from_sample(pos, total))
+        .collect();
     GroupSample {
         estimates,
         evaluated,
@@ -207,8 +218,10 @@ pub fn adaptive_num_search_ctx(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use expred_exec::{BatchProbe, Executor, Sequential};
     use expred_table::{DataType, Field, Schema, Table, Value};
     use expred_udf::{CostModel, OracleUdf};
+    use std::sync::Mutex;
 
     /// A 3-group table: group g has 40 rows, selectivity g * 0.3 + 0.1.
     fn test_table() -> Table {
@@ -225,6 +238,116 @@ mod tests {
             }
         }
         Table::from_rows(schema, rows).unwrap()
+    }
+
+    /// Runs batches sequentially, recording each batch's rows in
+    /// dispatch order.
+    #[derive(Default)]
+    struct Recording(Mutex<Vec<Vec<usize>>>);
+
+    impl Executor for Recording {
+        fn evaluate_batch(&self, probe: &dyn BatchProbe, rows: &[usize]) -> Vec<bool> {
+            self.0.lock().unwrap().push(rows.to_vec());
+            Sequential.evaluate_batch(probe, rows)
+        }
+    }
+
+    /// The per-group loop `sample_groups_ctx` replaced: the same draws,
+    /// paid for with one batch per group.
+    fn per_group_reference(
+        groups: &GroupBy,
+        invoker: &UdfInvoker<'_>,
+        rule: SampleSizeRule,
+        rng: &mut Prng,
+        ctx: &ExecContext<'_>,
+    ) -> GroupSample {
+        let n = groups.num_rows();
+        let (mut estimates, mut evaluated, mut positives) = (Vec::new(), Vec::new(), Vec::new());
+        for (g, _, rows) in groups.iter() {
+            let target = rule.sample_size(groups.size(g), n);
+            let mut known: Vec<u32> = rows
+                .iter()
+                .copied()
+                .filter(|&r| invoker.is_evaluated(r as usize))
+                .collect();
+            if known.len() < target {
+                let fresh: Vec<u32> = rows
+                    .iter()
+                    .copied()
+                    .filter(|&r| !invoker.is_evaluated(r as usize))
+                    .collect();
+                let batch: Vec<usize> = rng
+                    .sample_indices(fresh.len(), target - known.len())
+                    .into_iter()
+                    .map(|idx| fresh[idx] as usize)
+                    .collect();
+                invoker.retrieve_and_evaluate_batch(ctx.executor, &batch);
+                known.extend(batch.into_iter().map(|row| row as u32));
+            }
+            let pos = known
+                .iter()
+                .filter(|&&r| invoker.memoized(r as usize) == Some(true))
+                .count() as u64;
+            estimates.push(SelectivityEstimate::from_sample(pos, known.len() as u64));
+            evaluated.push(known.len() as u64);
+            positives.push(pos);
+        }
+        GroupSample {
+            estimates,
+            evaluated,
+            positives,
+        }
+    }
+
+    #[test]
+    fn one_batch_per_call_matches_the_per_group_loop() {
+        let table = test_table();
+        let udf = OracleUdf::new("label");
+        let groups = table.group_by("g").unwrap();
+        let rules = [
+            SampleSizeRule::Constant(20),
+            SampleSizeRule::Fraction(0.5),
+            SampleSizeRule::TwoThirdPower(2.0),
+        ];
+        // Cold (nothing known) and warm (half of group 0 known) calls.
+        for prefill in [0usize, 20] {
+            for rule in rules {
+                let run = |sample: &dyn Fn(
+                    &UdfInvoker<'_>,
+                    &mut Prng,
+                    &ExecContext<'_>,
+                ) -> GroupSample| {
+                    let invoker = UdfInvoker::new(&udf, &table);
+                    (0..prefill).for_each(|row| {
+                        invoker.retrieve_and_evaluate(row);
+                    });
+                    let recording = Recording::default();
+                    let mut rng = Prng::seeded(11);
+                    let out = sample(&invoker, &mut rng, &ExecContext::new(&recording));
+                    let batches = recording.0.into_inner().unwrap();
+                    (out, batches, invoker.counts(), rng.next_u64())
+                };
+                let (got, batches, counts, next) =
+                    run(&|inv, rng, ctx| sample_groups_ctx(&groups, inv, rule, rng, ctx));
+                let (want, per_group, want_counts, want_next) =
+                    run(&|inv, rng, ctx| per_group_reference(&groups, inv, rule, rng, ctx));
+                let what = format!("{rule:?}, {prefill} known");
+                assert_eq!(batches.len(), 1, "{what}: one dispatch per call");
+                if prefill == 0 {
+                    assert_eq!(per_group.len(), 3, "{what}: the loop paid per group");
+                }
+                assert_eq!(
+                    batches[0],
+                    per_group.concat(),
+                    "{what}: same rows, same order"
+                );
+                assert_eq!(got.estimates, want.estimates, "{what}");
+                assert_eq!(got.evaluated, want.evaluated, "{what}");
+                assert_eq!(got.positives, want.positives, "{what}");
+                assert_eq!(counts, want_counts, "{what}: same charges");
+                assert_eq!(next, want_next, "{what}: same RNG consumption");
+            }
+        }
     }
 
     #[test]

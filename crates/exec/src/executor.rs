@@ -8,6 +8,13 @@
 pub trait BatchProbe: Sync {
     /// Evaluates the expensive predicate on one row.
     fn probe(&self, row: usize) -> bool;
+
+    /// Whether the probe waits (a remote call, a timer) rather than
+    /// computes, so backends may keep more calls in flight than there are
+    /// cores ([`crate::WorkerPool`] does). Closures default to CPU-bound.
+    fn latency_bound(&self) -> bool {
+        false
+    }
 }
 
 impl<F: Fn(usize) -> bool + Sync> BatchProbe for F {

@@ -12,14 +12,12 @@
 //!   with the [`Sequential`] backend that preserves one-at-a-time
 //!   behavior bit for bit;
 //! * [`pool`] — the [`WorkerPool`] backend, the one multi-threaded
-//!   backend for local probes: persistent work-stealing workers with an
-//!   atomic chunk cursor (no per-batch thread spawns, no straggler-bound
-//!   chunking), deterministic answer order, and a latency-aware inline
-//!   fast path;
-//! * [`window`] — the [`InFlightWindow`] backend: a bounded window of
-//!   concurrently outstanding probes with out-of-order completion,
-//!   built for blocking-RPC probes (remote UDF backends) where the
-//!   window is connection-pool math, not core-count math;
+//!   backend: persistent work-stealing workers with an atomic chunk
+//!   cursor (no per-batch thread spawns, no straggler-bound chunking),
+//!   deterministic answer order, a latency-aware inline fast path, and
+//!   a [`DEFAULT_WINDOW`]-wide in-flight window for probes that declare
+//!   themselves latency-bound (remote or sleeping UDFs), where overlap
+//!   is connection-pool math, not core-count math;
 //! * [`adaptive`] — [`AdaptiveController`], the shared per-probe latency
 //!   EWMA that sizes planner drain slices between a floor and the
 //!   context's `max_in_flight`;
@@ -70,38 +68,29 @@ pub mod planner;
 pub mod pool;
 pub mod selectivity;
 pub mod store;
-pub mod window;
 
 pub use adaptive::{AdaptiveController, DEFAULT_WINDOW_FLOOR};
 pub use cache::ShardedMemo;
 pub use context::ExecContext;
 pub use executor::{BatchProbe, Executor, Sequential};
 pub use planner::{BatchPlanner, GroupedAnswer, DEFAULT_MAX_IN_FLIGHT};
-pub use pool::WorkerPool;
+pub use pool::{WorkerPool, DEFAULT_WINDOW};
 pub use selectivity::{SelectivityHandle, SelectivityTracker, DEFAULT_SELECTIVITY_CAPACITY};
 pub use store::{
     CacheHandle, CacheNamespace, CacheStats, CacheStore, SpillSink, DEFAULT_CACHE_CAPACITY,
     MAX_LIVE_VERSIONS,
 };
-pub use window::{InFlightWindow, DEFAULT_WINDOW};
 
-/// The contract every multi-threaded backend must meet, checked on each
-/// of them: [`WorkerPool`] across thread counts and [`InFlightWindow`]
-/// across window sizes.
+/// The contract the multi-threaded backend must meet, checked across
+/// thread counts on [`WorkerPool`]'s CPU-bound path; the two cases the
+/// `window` tests have no counterpart for also run latency-bound.
 #[cfg(test)]
 mod parallel {
     mod tests {
-        use crate::{Executor, InFlightWindow, Sequential, WorkerPool};
+        use crate::pool::tests::run;
+        use crate::{Executor, Sequential, WorkerPool};
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::time::{Duration, Instant};
-
-        /// Every multi-threaded backend configured for `threads` workers.
-        fn backends(threads: usize) -> Vec<Box<dyn Executor>> {
-            vec![
-                Box::new(WorkerPool::with_threads(threads)),
-                Box::new(InFlightWindow::new(threads)),
-            ]
-        }
 
         #[test]
         fn matches_sequential_exactly() {
@@ -109,40 +98,30 @@ mod parallel {
             let rows: Vec<usize> = (0..1000).rev().collect();
             let want = Sequential.evaluate_batch(&probe, &rows);
             for threads in [1, 2, 3, 8, 64] {
-                for backend in backends(threads) {
-                    assert_eq!(
-                        backend.evaluate_batch(&probe, &rows),
-                        want,
-                        "{} with {threads} threads",
-                        backend.name()
-                    );
-                }
-            }
-        }
-
-        #[test]
-        fn each_row_probed_exactly_once() {
-            for backend in backends(4) {
-                let calls = AtomicUsize::new(0);
-                let probe = |_row: usize| {
-                    calls.fetch_add(1, Ordering::Relaxed);
-                    true
-                };
-                let rows: Vec<usize> = (0..257).collect();
-                backend.evaluate_batch(&probe, &rows);
                 assert_eq!(
-                    calls.load(Ordering::Relaxed),
-                    rows.len(),
-                    "{}",
-                    backend.name()
+                    WorkerPool::with_threads(threads).evaluate_batch(&probe, &rows),
+                    want,
+                    "{threads} threads"
                 );
             }
         }
 
         #[test]
+        fn each_row_probed_exactly_once() {
+            let calls = AtomicUsize::new(0);
+            let probe = |_row: usize| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                true
+            };
+            let rows: Vec<usize> = (0..257).collect();
+            WorkerPool::with_threads(4).evaluate_batch(&probe, &rows);
+            assert_eq!(calls.load(Ordering::Relaxed), rows.len());
+        }
+
+        #[test]
         fn small_batches_run_inline() {
             // A one-row batch never leaves the calling thread, however
-            // many workers the backend has.
+            // many workers the pool has, on either path.
             let caller = std::thread::current().id();
             let probe = |row: usize| {
                 assert_eq!(
@@ -152,19 +131,23 @@ mod parallel {
                 );
                 row == 1
             };
-            for backend in backends(8) {
-                assert_eq!(backend.evaluate_batch(&probe, &[1]), vec![true]);
-                assert_eq!(backend.evaluate_batch(&probe, &[2]), vec![false]);
+            for latency_bound in [false, true] {
+                let pool = WorkerPool::with_threads(8);
+                assert_eq!(run(&pool, probe, &[1], latency_bound), vec![true]);
+                assert_eq!(run(&pool, probe, &[2], latency_bound), vec![false]);
             }
-            // A one-worker backend runs whole batches on the caller.
-            for backend in backends(1) {
-                assert_eq!(
-                    backend.evaluate_batch(&probe, &[0, 1, 2]),
-                    vec![false, true, false],
-                    "{}",
-                    backend.name()
-                );
-            }
+            // A one-worker pool runs whole CPU-bound batches on the
+            // caller; latency-bound ones widen to the window instead.
+            let pool = WorkerPool::with_threads(1);
+            assert_eq!(
+                run(&pool, probe, &[0, 1, 2], false),
+                vec![false, true, false]
+            );
+            let anywhere = |row: usize| row == 1;
+            assert_eq!(
+                run(&pool, anywhere, &[0, 1, 2], true),
+                vec![false, true, false]
+            );
         }
 
         #[test]
@@ -177,13 +160,13 @@ mod parallel {
                 true
             };
             let rows = [0usize, 1, 2, 3];
-            for backend in backends(4) {
+            for latency_bound in [false, true] {
+                let pool = WorkerPool::with_threads(4);
                 let start = Instant::now();
-                backend.evaluate_batch(&probe, &rows);
+                run(&pool, probe, &rows, latency_bound);
                 assert!(
                     start.elapsed() < Duration::from_millis(70),
-                    "{}: no overlap: {:?}",
-                    backend.name(),
+                    "latency_bound = {latency_bound}: no overlap: {:?}",
                     start.elapsed()
                 );
             }
@@ -193,11 +176,141 @@ mod parallel {
         fn empty_and_degenerate_batches() {
             let probe = |_row: usize| true;
             assert!(WorkerPool::new().evaluate_batch(&probe, &[]).is_empty());
-            assert!(InFlightWindow::default()
-                .evaluate_batch(&probe, &[])
-                .is_empty());
-            for backend in backends(16) {
-                assert_eq!(backend.evaluate_batch(&probe, &[9]), vec![true]);
+            let pool = WorkerPool::with_threads(16);
+            assert_eq!(pool.evaluate_batch(&probe, &[9]), vec![true]);
+        }
+    }
+}
+
+/// The in-flight window: [`WorkerPool`]'s latency-bound path keeps up to
+/// [`DEFAULT_WINDOW`] probes outstanding, each claimed one row at a time,
+/// so completion order is whatever the probes produce and a straggler
+/// holds back only itself.
+#[cfg(test)]
+mod window {
+    mod tests {
+        use crate::pool::tests::Blocking;
+        use crate::{Executor, Sequential, WorkerPool, DEFAULT_WINDOW};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        use std::time::Duration;
+
+        #[test]
+        fn matches_sequential_exactly() {
+            for (rows, modulus, cut) in [
+                ((0..777).rev().collect::<Vec<usize>>(), 5, 2),
+                ((0..1000).rev().collect(), 7, 3),
+            ] {
+                let probe = |row: usize| (row * 2654435761) % modulus < cut;
+                let want = Sequential.evaluate_batch(&probe, &rows);
+                for threads in [1, 2, 3, 7, 8, 16, 64, 1024] {
+                    assert_eq!(
+                        WorkerPool::with_threads(threads).evaluate_batch(&Blocking(probe), &rows),
+                        want,
+                        "threads = {threads}, {} rows",
+                        rows.len()
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn each_slot_probed_exactly_once() {
+            // Distinct rows, and duplicate-heavy ones: every slot is
+            // probed, duplicates included.
+            for (threads, rows) in [
+                (4, (0..257).collect::<Vec<usize>>()),
+                (8, (0..301).map(|i| i % 13).collect()),
+            ] {
+                let calls = AtomicUsize::new(0);
+                let probe = Blocking(|_row: usize| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    true
+                });
+                WorkerPool::with_threads(threads).evaluate_batch(&probe, &rows);
+                assert_eq!(calls.load(Ordering::Relaxed), rows.len());
+            }
+        }
+
+        #[test]
+        fn straggler_holds_back_only_itself() {
+            // One 80ms probe at the head of 256 probes of 1ms. The other
+            // 255 need ~17ms across the remaining 15 window slots, so
+            // every one of them must finish while the straggler still
+            // sleeps. A chunked claim would park the rows sharing the
+            // straggler's chunk behind it.
+            let straggler_done = AtomicBool::new(false);
+            let held_back = AtomicUsize::new(0);
+            let probe = Blocking(|row: usize| {
+                if row == 0 {
+                    std::thread::sleep(Duration::from_millis(80));
+                    straggler_done.store(true, Ordering::SeqCst);
+                } else {
+                    std::thread::sleep(Duration::from_millis(1));
+                    if straggler_done.load(Ordering::SeqCst) {
+                        held_back.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                true
+            });
+            let rows: Vec<usize> = (0..256).collect();
+            let answers = WorkerPool::with_threads(2).evaluate_batch(&probe, &rows);
+            assert_eq!(answers, vec![true; rows.len()]);
+            assert_eq!(
+                held_back.load(Ordering::Relaxed),
+                0,
+                "rows finished after the straggler"
+            );
+        }
+
+        #[test]
+        fn window_is_clamped_and_reported() {
+            // The window tops a narrow pool up to DEFAULT_WINDOW in-flight
+            // probes (the caller is one of them) and never narrows a wide
+            // one.
+            let probe = Blocking(|row: usize| row == 3);
+            let rows: Vec<usize> = (0..64).collect();
+            for (threads, lanes) in [(0, DEFAULT_WINDOW - 2), (3, DEFAULT_WINDOW - 4), (20, 0)] {
+                let pool = WorkerPool::with_threads(threads);
+                pool.evaluate_batch(&probe, &rows);
+                assert_eq!(pool.lanes(), lanes, "threads = {threads}");
+            }
+            assert_eq!(WorkerPool::with_threads(3).name(), "worker_pool");
+        }
+
+        #[test]
+        fn empty_batch_is_empty() {
+            let probe = Blocking(|_row: usize| true);
+            let pool = WorkerPool::with_threads(4);
+            assert!(pool.evaluate_batch(&probe, &[]).is_empty());
+            assert_eq!(pool.lanes(), 0, "an empty batch spawns nothing");
+            assert!(WorkerPool::new().evaluate_batch(&probe, &[]).is_empty());
+            assert_eq!(
+                WorkerPool::with_threads(16).evaluate_batch(&probe, &[9]),
+                vec![true]
+            );
+        }
+
+        #[test]
+        fn probe_panic_propagates() {
+            // A panic among latency-bound probes reaches the caller, and
+            // the pool keeps serving both paths afterwards.
+            let pool = WorkerPool::with_threads(2);
+            for (len, bad_row) in [(32, 5), (128, 77)] {
+                let bomb = Blocking(|row: usize| {
+                    std::thread::sleep(Duration::from_micros(200));
+                    if row == bad_row {
+                        panic!("boom");
+                    }
+                    true
+                });
+                let rows: Vec<usize> = (0..len).collect();
+                let result = catch_unwind(AssertUnwindSafe(|| pool.evaluate_batch(&bomb, &rows)));
+                assert!(result.is_err(), "panic must not be swallowed");
+                let probe = |row: usize| row.is_multiple_of(3);
+                let want = Sequential.evaluate_batch(&probe, &rows);
+                assert_eq!(pool.evaluate_batch(&Blocking(probe), &rows), want);
+                assert_eq!(pool.evaluate_batch(&probe, &rows), want);
             }
         }
     }

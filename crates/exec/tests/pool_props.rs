@@ -4,11 +4,13 @@
 //! and every interesting worker count, the pool must be answer-identical
 //! to [`Sequential`], batch after batch on one long-lived pool (the
 //! inline fast path, the fan-out path, and the transitions between them
-//! as the latency EWMA settles are all exercised by the same stream).
+//! as the latency EWMA settles are all exercised by the same stream),
+//! and latency-bound batches, run on the pool's wider in-flight window,
+//! may interleave with CPU-bound ones on the same pool.
 //! A panicking probe must propagate to the caller without wedging or
 //! poisoning the pool for subsequent batches.
 
-use expred_exec::{Executor, Sequential, WorkerPool};
+use expred_exec::{BatchProbe, Executor, Sequential, WorkerPool};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -16,6 +18,19 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// across batches are the norm, batch sizes span empty to medium.
 fn batches() -> impl Strategy<Value = Vec<Vec<usize>>> {
     prop::collection::vec(prop::collection::vec(0usize..200, 0..120), 1..12)
+}
+
+/// Declares a closure latency-bound, as a sleeping or remote UDF does.
+struct Blocking<F>(F);
+
+impl<F: Fn(usize) -> bool + Sync> BatchProbe for Blocking<F> {
+    fn probe(&self, row: usize) -> bool {
+        (self.0)(row)
+    }
+
+    fn latency_bound(&self) -> bool {
+        true
+    }
 }
 
 fn machine_threads() -> usize {
@@ -35,6 +50,28 @@ proptest! {
             for (i, batch) in stream.iter().enumerate() {
                 prop_assert_eq!(
                     pool.evaluate_batch(&probe, batch),
+                    Sequential.evaluate_batch(&probe, batch),
+                    "batch {} diverged at {} threads", i, threads
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn latency_bound_batches_interleave_with_cpu_bound_ones(stream in batches()) {
+        // Alternating paths on one pool: lanes spawn mid-stream, sit out
+        // the CPU-bound batches, and never change an answer.
+        let probe = |row: usize| (row.wrapping_mul(2654435761) >> 3) % 5 < 2;
+        for threads in [1, 2, machine_threads()] {
+            let pool = WorkerPool::with_threads(threads);
+            for (i, batch) in stream.iter().enumerate() {
+                let answers = if i % 2 == 0 {
+                    pool.evaluate_batch(&Blocking(probe), batch)
+                } else {
+                    pool.evaluate_batch(&probe, batch)
+                };
+                prop_assert_eq!(
+                    answers,
                     Sequential.evaluate_batch(&probe, batch),
                     "batch {} diverged at {} threads", i, threads
                 );

@@ -5,9 +5,10 @@
 //! contract. A `RemoteUdf` plugs into everything a local UDF does —
 //! the `UdfInvoker` (which bills `o_e` exactly once per fresh row, no
 //! matter how many wire retries the probe took underneath), the
-//! executors in `expred-exec` (an [`InFlightWindow`] over a remote UDF
-//! keeps `window` probes on the wire at once), and the predicate
-//! expression tree.
+//! executors in `expred-exec` (a `RemoteUdf` declares itself
+//! latency-bound, so a [`WorkerPool`] keeps up to
+//! [`DEFAULT_WINDOW`](expred_exec::DEFAULT_WINDOW) probes on the wire at
+//! once, whatever the core count), and the predicate expression tree.
 //!
 //! Failure policy, in order:
 //!
@@ -23,12 +24,13 @@
 //!    fallback it panics — callers on the fallible surface should use
 //!    the `try_*` methods.
 //!
-//! [`InFlightWindow`]: expred_exec::InFlightWindow
+//! [`WorkerPool`]: expred_exec::WorkerPool
 //! [`EngineError::Unavailable`]: expred_core::EngineError::Unavailable
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
+use expred_exec::{BatchProbe, Executor};
 use expred_table::Table;
 use expred_udf::{BooleanUdf, UdfId};
 
@@ -86,85 +88,73 @@ impl RemoteUdf {
         }
     }
 
-    /// Evaluates `rows` with up to `window` probes in flight at once,
-    /// landing answers by input index. The first infrastructure error
-    /// (after the fallback had its chance) aborts the remaining work —
-    /// there is no point burning `len × deadline` against a dead
-    /// endpoint — and is returned; answers computed so far are dropped.
+    /// Evaluates `rows` through `executor`, landing answers by input
+    /// index. The first infrastructure error (after the fallback had its
+    /// chance) aborts the remaining work — there is no point burning
+    /// `len × deadline` against a dead endpoint — and is returned;
+    /// answers computed so far are dropped.
     ///
-    /// This is the typed-error sibling of running an
-    /// [`InFlightWindow`](expred_exec::InFlightWindow) executor over
-    /// [`BooleanUdf::evaluate`]: same scheduling, same out-of-order
-    /// completion, but unavailability is a `Result`, not a panic.
+    /// This is the typed-error sibling of running `executor` over
+    /// [`BooleanUdf::evaluate`]: the probe is latency-bound, so a
+    /// [`WorkerPool`](expred_exec::WorkerPool) keeps its whole in-flight
+    /// window on the wire, but unavailability is a `Result`, not a panic.
     pub fn try_evaluate_batch(
         &self,
+        executor: &dyn Executor,
         table: &Table,
         rows: &[usize],
-        window: usize,
     ) -> Result<Vec<bool>, RemoteError> {
-        if rows.is_empty() {
-            return Ok(Vec::new());
-        }
-        let workers = window.clamp(1, rows.len());
-        if workers == 1 {
-            let mut answers = Vec::with_capacity(rows.len());
-            for &row in rows {
-                answers.push(self.try_evaluate(table, row)?);
-            }
-            return Ok(answers);
-        }
-
-        let cursor = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        // (slot, error) of the earliest-slot failure, for a
-        // deterministic error regardless of thread interleaving.
-        let first_error: Mutex<Option<(usize, RemoteError)>> = Mutex::new(None);
-        let mut answers = vec![false; rows.len()];
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                handles.push(scope.spawn(|| {
-                    let mut local: Vec<(usize, bool)> = Vec::new();
-                    loop {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                        if slot >= rows.len() {
-                            break;
-                        }
-                        match self.try_evaluate(table, rows[slot]) {
-                            Ok(answer) => local.push((slot, answer)),
-                            Err(e) => {
-                                let mut guard = first_error.lock().unwrap();
-                                if guard.as_ref().map(|(s, _)| slot < *s).unwrap_or(true) {
-                                    *guard = Some((slot, e));
-                                }
-                                abort.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                    }
-                    local
-                }));
-            }
-            for handle in handles {
-                match handle.join() {
-                    Ok(local) => {
-                        for (slot, answer) in local {
-                            answers[slot] = answer;
-                        }
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-
-        match first_error.into_inner().unwrap() {
+        let probe = TryProbe {
+            udf: self,
+            table,
+            rows,
+            abort: AtomicBool::new(false),
+            first_error: Mutex::new(None),
+        };
+        // Slots, not rows, go through the executor, so the error that
+        // wins is the earliest slot's whatever the interleaving.
+        let slots: Vec<usize> = (0..rows.len()).collect();
+        let answers = executor.evaluate_batch(&probe, &slots);
+        let first_error = probe.first_error.into_inner();
+        match first_error.expect("error slot poisoned: a probe panicked while recording") {
             Some((_, e)) => Err(e),
             None => Ok(answers),
         }
+    }
+}
+
+/// One [`RemoteUdf::try_evaluate_batch`] call, probed by slot index.
+struct TryProbe<'a> {
+    udf: &'a RemoteUdf,
+    table: &'a Table,
+    rows: &'a [usize],
+    abort: AtomicBool,
+    /// `(slot, error)` of the earliest failing slot.
+    first_error: Mutex<Option<(usize, RemoteError)>>,
+}
+
+impl BatchProbe for TryProbe<'_> {
+    fn probe(&self, slot: usize) -> bool {
+        if self.abort.load(Ordering::Relaxed) {
+            return false;
+        }
+        self.udf
+            .try_evaluate(self.table, self.rows[slot])
+            .unwrap_or_else(|e| {
+                let mut first = self
+                    .first_error
+                    .lock()
+                    .expect("error slot poisoned: a probe panicked while recording");
+                if first.as_ref().is_none_or(|(s, _)| slot < *s) {
+                    *first = Some((slot, e));
+                }
+                self.abort.store(true, Ordering::Relaxed);
+                false
+            })
+    }
+
+    fn latency_bound(&self) -> bool {
+        true
     }
 }
 
@@ -183,6 +173,12 @@ impl BooleanUdf for RemoteUdf {
 
     fn name(&self) -> &str {
         "remote"
+    }
+
+    /// A probe is a network round trip: executors may keep more in
+    /// flight than there are cores.
+    fn latency_bound(&self) -> bool {
+        true
     }
 
     /// Identity is the oracle name: two clients probing the same named
@@ -213,6 +209,7 @@ mod tests {
     use crate::client::ClientConfig;
     use crate::fault::FaultPlan;
     use crate::server::{OracleMap, UdfServer};
+    use expred_exec::{Sequential, WorkerPool};
     use expred_table::{DataType, Field, Schema, Value};
     use expred_udf::OracleUdf;
     use std::time::Duration;
@@ -260,13 +257,16 @@ mod tests {
         let remote = RemoteUdf::new(client, "good");
         // Shuffled, repeated rows: answers must land by slot.
         let rows = [7usize, 0, 3, 3, 6, 1, 2, 5, 4, 0];
-        let answers = remote.try_evaluate_batch(&table, &rows, 4).unwrap();
         let expected: Vec<bool> = rows.iter().map(|&r| labels[r]).collect();
-        assert_eq!(answers, expected);
-        assert!(remote
-            .try_evaluate_batch(&table, &[], 4)
-            .unwrap()
-            .is_empty());
+        let pool = WorkerPool::with_threads(4);
+        for executor in [&Sequential as &dyn Executor, &pool] {
+            let answers = remote.try_evaluate_batch(executor, &table, &rows).unwrap();
+            assert_eq!(answers, expected, "{}", executor.name());
+            assert!(remote
+                .try_evaluate_batch(executor, &table, &[])
+                .unwrap()
+                .is_empty());
+        }
     }
 
     #[test]
@@ -307,7 +307,11 @@ mod tests {
         let table = table_with_labels(&labels);
         let started = std::time::Instant::now();
         let err = remote
-            .try_evaluate_batch(&table, &(0..32).collect::<Vec<_>>(), 4)
+            .try_evaluate_batch(
+                &WorkerPool::with_threads(4),
+                &table,
+                &(0..32).collect::<Vec<_>>(),
+            )
             .unwrap_err();
         assert!(
             matches!(
@@ -348,5 +352,6 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_ne!(a.fingerprint(), c.fingerprint());
         assert!(a.fingerprint().is_some());
+        assert!(a.latency_bound(), "a remote probe waits on the wire");
     }
 }

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use expred_exec::{InFlightWindow, Sequential, WorkerPool};
+use expred_exec::{Sequential, WorkerPool};
 use expred_remote::{
     BreakerConfig, BreakerState, ClientConfig, FaultPlan, HedgeConfig, OracleMap, RemoteClient,
     RemoteUdf, UdfServer,
@@ -158,14 +158,14 @@ proptest! {
         let expected = local_invoker.evaluate_batch(&Sequential, &rows);
 
         // Remote: same rows through the audited invoker over a pooled,
-        // retrying client with an in-flight window.
+        // retrying client, with the pool's in-flight window on the wire.
         let tracker = CostTracker::new();
         let client = Arc::new(
             RemoteClient::new(resilient_config(&server)).with_tracker(tracker.clone()),
         );
         let remote_udf = RemoteUdf::new(Arc::clone(&client), "good");
         let remote_invoker = UdfInvoker::with_tracker(&remote_udf, &table, tracker.clone());
-        let got = remote_invoker.evaluate_batch(&InFlightWindow::new(4), &rows);
+        let got = remote_invoker.evaluate_batch(&WorkerPool::with_threads(4), &rows);
 
         prop_assert_eq!(&got, &expected, "answers diverged under {:?}", schedule);
 
@@ -216,7 +216,7 @@ fn heavy_drops_force_retries_that_never_bill() {
     let client = Arc::new(RemoteClient::new(config).with_tracker(tracker.clone()));
     let remote_udf = RemoteUdf::new(Arc::clone(&client), "good");
     let remote_invoker = UdfInvoker::with_tracker(&remote_udf, &table, tracker.clone());
-    let got = remote_invoker.evaluate_batch(&InFlightWindow::new(4), &rows);
+    let got = remote_invoker.evaluate_batch(&WorkerPool::with_threads(4), &rows);
 
     assert_eq!(got, expected);
     let stats = client.stats();
@@ -252,7 +252,7 @@ fn hedges_cut_tails_and_never_bill() {
     let remote_udf = RemoteUdf::new(Arc::clone(&client), "good");
     let remote_invoker = UdfInvoker::with_tracker(&remote_udf, &table, tracker.clone());
     let rows: Vec<usize> = (0..labels.len()).collect();
-    let got = remote_invoker.evaluate_batch(&InFlightWindow::new(4), &rows);
+    let got = remote_invoker.evaluate_batch(&WorkerPool::with_threads(4), &rows);
 
     let expected: Vec<bool> = rows.iter().map(|&r| labels[r]).collect();
     assert_eq!(got, expected);
@@ -331,7 +331,9 @@ fn blackout_without_fallback_maps_to_engine_unavailable() {
     };
     let remote_udf = RemoteUdf::new(Arc::new(RemoteClient::new(config)), "good");
     let rows: Vec<usize> = (0..labels.len()).collect();
-    let err = remote_udf.try_evaluate_batch(&table, &rows, 4).unwrap_err();
+    let err = remote_udf
+        .try_evaluate_batch(&WorkerPool::with_threads(4), &table, &rows)
+        .unwrap_err();
     let engine_err: expred_core::EngineError = err.into();
     match engine_err {
         expred_core::EngineError::Unavailable { endpoint, .. } => {

@@ -389,6 +389,19 @@ impl BooleanUdf for PredicateExpr {
         PredicateExpr::fingerprint(self)
     }
 
+    /// Latency-bound if any leaf is: one waiting leaf makes the whole
+    /// row evaluation wait.
+    fn latency_bound(&self) -> bool {
+        fn walk(node: &Node) -> bool {
+            match node {
+                Node::Leaf { udf, .. } => udf.latency_bound(),
+                Node::Not(inner) => walk(inner),
+                Node::And(parts) | Node::Or(parts) => parts.iter().any(walk),
+            }
+        }
+        walk(&self.node)
+    }
+
     /// Columns any leaf declares, deduplicated in first-seen order — an
     /// expression whose leaves share a column must not report (or make a
     /// validator re-check) that column once per leaf.
@@ -582,6 +595,19 @@ mod tests {
 
     fn leaf(col: &str) -> PredicateExpr {
         Pred::udf(OracleUdf::new(col))
+    }
+
+    #[test]
+    fn latency_bound_if_any_leaf_is() {
+        let slow = || {
+            Pred::udf(crate::udf::SlowUdf::new(
+                OracleUdf::new("b"),
+                std::time::Duration::ZERO,
+            ))
+        };
+        assert!(!leaf("a").and(leaf("b")).latency_bound());
+        assert!(leaf("a").and(slow()).latency_bound());
+        assert!(leaf("a").or(!slow()).latency_bound());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use crate::cost::{CostCounts, CostModel, CostTracker};
 use crate::udf::BooleanUdf;
 use expred_exec::{
-    CacheHandle, CacheNamespace, ExecContext, Executor, SelectivityHandle, ShardedMemo,
+    BatchProbe, CacheHandle, CacheNamespace, ExecContext, Executor, SelectivityHandle, ShardedMemo,
 };
 use expred_table::Table;
 use std::collections::{HashMap, HashSet};
@@ -29,6 +29,20 @@ pub fn cache_namespace(udf: &dyn BooleanUdf, table: &Table) -> Option<CacheNames
         table: table.id().as_u64(),
         version: table.version(),
     })
+}
+
+/// One UDF over one table as a batch probe, carrying the UDF's
+/// [`BooleanUdf::latency_bound`] declaration to the executor.
+struct UdfProbe<'a>(&'a dyn BooleanUdf, &'a Table);
+
+impl BatchProbe for UdfProbe<'_> {
+    fn probe(&self, row: usize) -> bool {
+        self.0.evaluate(self.1, row)
+    }
+
+    fn latency_bound(&self) -> bool {
+        self.0.latency_bound()
+    }
 }
 
 /// Counted, memoized access to a UDF over one table.
@@ -251,8 +265,7 @@ impl<'a> UdfInvoker<'a> {
         }
         self.tracker.add_cache_hits(hits);
         if !fresh.is_empty() {
-            let probe = |row: usize| self.udf.evaluate(self.table, row);
-            let fresh_answers = executor.evaluate_batch(&probe, &fresh);
+            let fresh_answers = executor.evaluate_batch(&UdfProbe(self.udf, self.table), &fresh);
             self.tracker.add_evaluations(fresh.len() as u64);
             if let Some(sel) = &self.selectivity {
                 let passes = fresh_answers.iter().filter(|&&a| a).count() as u64;
@@ -338,6 +351,27 @@ mod tests {
         let c = inv.counts();
         assert_eq!(c.evaluated, 2, "second call to row 0 must be memoized");
         assert_eq!(c.cache_hits, 1);
+    }
+
+    #[test]
+    fn batches_carry_the_udfs_latency_declaration() {
+        /// Records what each batch's probe declared, then runs it.
+        struct Recording(std::sync::Mutex<Vec<bool>>);
+        impl Executor for Recording {
+            fn evaluate_batch(&self, probe: &dyn BatchProbe, rows: &[usize]) -> Vec<bool> {
+                self.0.lock().unwrap().push(probe.latency_bound());
+                expred_exec::Sequential.evaluate_batch(probe, rows)
+            }
+        }
+        let t = table_with_labels(&[true, false, true]);
+        let recording = Recording(Default::default());
+        let local = OracleUdf::new("good");
+        let slow = crate::udf::SlowUdf::new(OracleUdf::new("good"), std::time::Duration::ZERO);
+        for udf in [&local as &dyn BooleanUdf, &slow] {
+            let answers = UdfInvoker::new(udf, &t).evaluate_batch(&recording, &[0, 1, 2]);
+            assert_eq!(answers, vec![true, false, true]);
+        }
+        assert_eq!(*recording.0.lock().unwrap(), vec![false, true]);
     }
 
     #[test]

@@ -75,6 +75,13 @@ pub trait BooleanUdf: Send + Sync {
     fn required_columns(&self) -> Vec<String> {
         Vec::new()
     }
+
+    /// Whether an evaluation waits (a network round trip, a sleep) rather
+    /// than computes, so executors may overlap more calls than there are
+    /// cores ([`expred_exec::BatchProbe::latency_bound`]). Default: no.
+    fn latency_bound(&self) -> bool {
+        false
+    }
 }
 
 /// The evaluation-protocol UDF: answers from a hidden boolean column.
@@ -144,6 +151,10 @@ impl<U: BooleanUdf> BooleanUdf for SlowUdf<U> {
 
     fn name(&self) -> &str {
         "slow"
+    }
+
+    fn latency_bound(&self) -> bool {
+        true
     }
 
     /// Latency does not change answers, so a slow UDF shares its inner
@@ -234,16 +245,6 @@ impl ConjunctionUdf {
         assert!(!parts.is_empty(), "conjunction needs at least one UDF");
         Self { parts }
     }
-
-    /// Number of conjuncts.
-    pub fn arity(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// Evaluates only the `i`-th conjunct.
-    pub fn evaluate_part(&self, i: usize, table: &Table, row: usize) -> bool {
-        self.parts[i].evaluate(table, row)
-    }
 }
 
 impl BooleanUdf for ConjunctionUdf {
@@ -253,6 +254,10 @@ impl BooleanUdf for ConjunctionUdf {
 
     fn name(&self) -> &str {
         "conjunction"
+    }
+
+    fn latency_bound(&self) -> bool {
+        self.parts.iter().any(|p| p.latency_bound())
     }
 
     /// Identified iff every conjunct is; order matters for identity (it
@@ -347,8 +352,6 @@ mod tests {
         ]);
         assert!(udf.evaluate(&t, 0));
         assert!(!udf.evaluate(&t, 1));
-        assert_eq!(udf.arity(), 2);
-        assert!(udf.evaluate_part(0, &t, 0));
     }
 
     #[test]
@@ -389,6 +392,17 @@ mod tests {
         assert_eq!(Anon.fingerprint(), None);
         let poisoned = ConjunctionUdf::new(vec![Box::new(Anon), Box::new(OracleUdf::new("good"))]);
         assert_eq!(poisoned.fingerprint(), None);
+    }
+
+    #[test]
+    fn latency_bound_follows_slow_parts() {
+        let slow = || SlowUdf::new(OracleUdf::new("good"), Duration::ZERO);
+        assert!(!OracleUdf::new("good").latency_bound());
+        assert!(slow().latency_bound());
+        let mixed = ConjunctionUdf::new(vec![Box::new(OracleUdf::new("good")), Box::new(slow())]);
+        assert!(mixed.latency_bound());
+        let local = ConjunctionUdf::new(vec![Box::new(OracleUdf::new("good"))]);
+        assert!(!local.latency_bound());
     }
 
     #[test]

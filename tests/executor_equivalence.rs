@@ -13,6 +13,7 @@ use expred::core::{
 };
 use expred::exec::{AdaptiveController, ExecContext, Executor, Sequential, WorkerPool};
 use expred::table::datasets::{Dataset, DatasetSpec, LENDING_CLUB, PROSPER};
+use std::time::Duration;
 
 fn small(spec: DatasetSpec, rows: usize, seed: u64) -> Dataset {
     Dataset::generate(DatasetSpec { rows, ..spec }, seed)
@@ -349,6 +350,23 @@ fn submit_is_byte_identical_to_legacy_run_for_all_seven_strategies() {
             "strategy {i}: a memoized replay charges nothing"
         );
     }
+}
+
+#[test]
+fn latency_bound_pooled_engine_matches_sequential_engine_for_all_seven_strategies() {
+    // With an injected UDF latency the pool runs every fresh batch on its
+    // widened in-flight window; answers and bills must not notice.
+    let ds = small(PROSPER, 2_000, 12);
+    let spec = QuerySpec::paper_default();
+    let sequential = QueryEngine::new();
+    let pooled = QueryEngine::pooled().with_udf_latency(Duration::from_micros(100));
+    for (i, (request, _)) in all_seven(spec).into_iter().enumerate() {
+        let request = request.with_seed(90 + i as u64);
+        let want = sequential.submit(&ds, &request).unwrap();
+        let got = pooled.submit(&ds, &request).unwrap();
+        assert_identical(&want, &got, &format!("latency-bound strategy {i}"));
+    }
+    assert_eq!(sequential.session_counts(), pooled.session_counts());
 }
 
 // Property: for random contracts and seeds, every request answers
